@@ -41,6 +41,7 @@ from .contractions import (
     parse_contraction,
     format_contraction,
     eval_contraction,
+    expand_eps_square,
     is_simple_form,
 )
 from .invariants import (

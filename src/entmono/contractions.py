@@ -15,31 +15,41 @@ dimension-2 indices.
 Example -- the quadratic norm invariant::
 
     psi[i,j,k] * psi*[i,j,k]
+
+``eval_contraction`` contracts every invariant of the package, on a pure
+``StateTensor`` or a ``DensityOp`` (its docstring gives the mixed-state rule).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
+import string
 import warnings
 from dataclasses import dataclass
+from math import prod
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import (
     ContractionSyntaxError,
+    DegreeImbalanceError,
     DegreeImbalanceWarning,
     DimensionMismatch,
     EpsDimensionError,
     IndexArityError,
     SlotArityError,
 )
-from .states import StateTensor
+from .states import DensityOp, StateTensor
 
 PSI = "psi"
 PSI_CONJ = "psi*"
 DELTA = "delta"
 EPSILON = "eps"
 
+REAL_TOL = 1e-9
 _EPS_TENSOR = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z0-9]+)|([\[\],*])|(\S))")
@@ -198,11 +208,8 @@ class InvariantValue:
     imag_warning: bool
 
 
-def _index_dims(expr: ContractionExpr, dims: tuple[int, ...]) -> dict[str, int]:
-    """Resolve the dimension carried by every index name.
-
-    psi slots pin dimensions directly; delta/eps equate their two indices.
-    """
+def _union_find(pairs: Iterable[tuple[str, ...]]) -> Callable[[str], str]:
+    """Root finder of the equivalence classes the index pairs generate."""
     parent: dict[str, str] = {}
 
     def find(x: str) -> str:
@@ -211,13 +218,15 @@ def _index_dims(expr: ContractionExpr, dims: tuple[int, ...]) -> dict[str, int]:
             x = parent[x]
         return x
 
-    def union(x: str, y: str) -> None:
-        parent[find(x)] = find(y)
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return find
 
-    for f in expr.factors:
-        if f.kind in (DELTA, EPSILON):
-            union(f.indices[0], f.indices[1])
 
+def _check_dims(expr: ContractionExpr, dims: tuple[int, ...]) -> None:
+    """Every index gets one dimension (psi slots pin it, delta/eps equate
+    their two indices), and eps indices get dimension 2."""
+    find = _union_find(f.indices for f in expr.factors if f.kind in (DELTA, EPSILON))
     dim_of_root: dict[str, int] = {}
     for f in expr.factors:
         if f.kind not in (PSI, PSI_CONJ):
@@ -230,50 +239,111 @@ def _index_dims(expr: ContractionExpr, dims: tuple[int, ...]) -> dict[str, int]:
                     f"index {ix!r} is bound to dimensions "
                     f"{dim_of_root[root]} and {d} at once"
                 )
-    resolved = {}
-    for ix in parent:
-        root = find(ix)
-        if root not in dim_of_root:
-            raise DimensionMismatch(f"cannot infer the dimension of index {ix!r}")
-        resolved[ix] = dim_of_root[root]
     for f in expr.factors:
         for ix in f.indices:
-            if ix not in resolved:
+            d = dim_of_root.get(find(ix))
+            if d is None:
                 raise DimensionMismatch(f"cannot infer the dimension of index {ix!r}")
-    return resolved
+            if f.kind == EPSILON and d != 2:
+                raise EpsDimensionError(f"eps index {ix!r} is bound to dimension {d}, need 2")
 
 
-def eval_contraction(expr: ContractionExpr, state: StateTensor) -> InvariantValue:
-    """Einstein-sum the factor product over the state's amplitudes."""
-    if expr.slot_count != state.n_parties:
+def _purification(state) -> np.ndarray:
+    """psi[e, i_0, ..., i_{N-1}] with sum_e psi psi^* = the state: one
+    environment value for a pure state, psi[e] = sqrt(w_e) v_e for a
+    DensityOp's eigenpairs, negative round-off eigenvalues clipped to 0."""
+    if isinstance(state, StateTensor):
+        return state.tensor()[np.newaxis]
+    if isinstance(state, DensityOp):
+        w, v = np.linalg.eigh(state.matrix)
+        return (v * np.sqrt(np.clip(w, 0.0, None))).T.reshape((-1,) + state.dims)
+    raise TypeError(f"expected StateTensor or DensityOp, got {type(state).__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(expr: ContractionExpr, shape: tuple[int, ...]) -> tuple[str, tuple[str, ...], tuple]:
+    """einsum subscripts, operand kinds and contraction path of ``expr`` on
+    a purification of this shape (environment axis first)."""
+    _check_dims(expr, shape[1:])
+    same = _union_find(f.indices for f in expr.factors if f.kind == DELTA)
+    pairs = {PSI: 0, PSI_CONJ: 0}
+    rows, kinds = [], []
+    for f in expr.factors:
+        if f.kind == DELTA:
+            continue
+        row = [same(ix) for ix in f.indices]
+        if f.kind in pairs:
+            row.insert(0, ("env", pairs[f.kind]))
+            pairs[f.kind] += 1
+        rows.append(row)
+        kinds.append(f.kind)
+    keys = dict.fromkeys(key for row in rows for key in row)
+    if len(keys) > len(string.ascii_letters):
+        raise IndexArityError(f"expression needs {len(keys)} distinct indices, at most 52")
+    letter = dict(zip(keys, string.ascii_letters))
+    subscripts = ",".join("".join(letter[key] for key in row) for row in rows) + "->"
+    shapes = [_EPS_TENSOR.shape if kind == EPSILON else shape for kind in kinds]
+    # numpy's default cap on intermediates, the largest operand, rules out
+    # the psi * psi* pair intermediates and leaves one loop over all indices
+    cap = max(prod(s) for s in shapes) ** 2
+    dummies = [np.broadcast_to(np.zeros((), complex), s) for s in shapes]
+    path, _ = np.einsum_path(subscripts, *dummies, optimize=("greedy", cap))
+    return subscripts, tuple(kinds), tuple(path)
+
+
+def eval_contraction(expr: ContractionExpr, state) -> InvariantValue:
+    """Einstein-sum the factor product over a pure state or density operator.
+
+    The state enters through its purification psi[e, ...]; the n-th psi and
+    the n-th psi* factor share the environment index e_n, so on a DensityOp
+    each such pair stands for one matrix element of rho (rows from the psi,
+    columns from the psi*).  delta factors merge their two indices.
+    """
+    amps = _purification(state)
+    if expr.slot_count != amps.ndim - 1:
         raise DimensionMismatch(
-            f"expression binds {expr.slot_count} parties, state has {state.n_parties}"
+            f"expression binds {expr.slot_count} parties, state has {amps.ndim - 1}"
         )
-    dims = _index_dims(expr, state.dims)
-    for f in expr.factors:
-        if f.kind == EPSILON:
-            for ix in f.indices:
-                if dims[ix] != 2:
-                    raise EpsDimensionError(
-                        f"eps index {ix!r} is bound to dimension {dims[ix]}, need 2"
-                    )
+    if not expr.balanced and isinstance(state, DensityOp):
+        raise DegreeImbalanceError(
+            "a contraction with unequal numbers of psi and psi* factors has no "
+            "value on a density operator"
+        )
+    subscripts, kinds, path = _compile(expr, amps.shape)
+    tensor = {PSI: amps, PSI_CONJ: amps.conj(), EPSILON: _EPS_TENSOR}
+    value = complex(np.einsum(subscripts, *(tensor[k] for k in kinds), optimize=path))
+    # round-off in the imaginary part scales with the summands, whose size
+    # is the state's weight to the number of psi/psi* pairs
+    scale = max(abs(value), float(np.vdot(amps, amps).real) ** kinds.count(PSI))
+    return InvariantValue(value, expr.balanced and abs(value.imag) > REAL_TOL * scale)
 
-    label = {ix: i for i, ix in enumerate(dims)}
-    t = state.tensor()
-    args: list = []
-    for f in expr.factors:
-        if f.kind == PSI:
-            args.append(t)
-        elif f.kind == PSI_CONJ:
-            args.append(t.conj())
-        elif f.kind == DELTA:
-            args.append(np.eye(dims[f.indices[0]], dtype=complex))
-        else:
-            args.append(_EPS_TENSOR)
-        args.append([label[ix] for ix in f.indices])
-    args.append([])
-    value = complex(np.einsum(*args, optimize="greedy"))
-    return InvariantValue(value, expr.balanced and abs(value.imag) > 1e-9)
+
+def expand_eps_square(expr: ContractionExpr) -> list[tuple[int, ContractionExpr]]:
+    """expr * conj(expr) as 2**k signed eps-free terms for k eps factors.
+
+    conj(expr) is a renamed copy with psi and psi* swapped, and each eps with
+    its copy becomes eps[a,b] eps[A,B] = delta[a,A] delta[b,B] - delta[a,B]
+    delta[b,A].  If every eps joins one party slot, every term is simple.
+    """
+    flip = {PSI: PSI_CONJ, PSI_CONJ: PSI}
+
+    def rename(f: Factor, side: str) -> tuple[str, ...]:
+        return tuple(side + ix for ix in f.indices)
+
+    plain = [f for f in expr.factors if f.kind != EPSILON]
+    base = tuple([Factor(f.kind, rename(f, "a")) for f in plain]
+                 + [Factor(flip.get(f.kind, f.kind), rename(f, "b")) for f in plain])
+    eps = [(rename(f, "a"), rename(f, "b")) for f in expr.factors if f.kind == EPSILON]
+    terms = []
+    for swaps in itertools.product((False, True), repeat=len(eps)):
+        deltas = []
+        for ((a, b), (ca, cb)), swap in zip(eps, swaps):
+            if swap:
+                ca, cb = cb, ca
+            deltas += [Factor(DELTA, (a, ca)), Factor(DELTA, (b, cb))]
+        term = ContractionExpr(base + tuple(deltas), expr.slot_count, True)
+        terms.append(((-1) ** sum(swaps), term))
+    return terms
 
 
 def is_simple_form(expr: ContractionExpr) -> tuple[bool, str | None]:

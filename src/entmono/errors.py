@@ -87,6 +87,10 @@ class EpsDimensionError(EntmonoError):
     pass
 
 
+class DegreeImbalanceError(EntmonoError):
+    """Unequal psi and psi* factors evaluated on a density operator."""
+
+
 class PartyCountUnsupported(EntmonoError):
     pass
 

@@ -1,14 +1,13 @@
 """Built-in polynomial local-unitary invariants for three-party states.
 
-Degree-2/4 quantities and the degree-6 cyclic trace are computed from
-partial traces of the density operator (the index contractions they equal
-are in ``builtin_patterns``); the residual tangle and its squared
-delta-expansion are evaluated directly from the amplitudes.
+Every value is a contraction evaluated by ``eval_contraction``: the
+``BUILTIN_PATTERN_TEXT`` built-ins on pure states and density operators
+alike, and the residual tangle ``TANGLE_TEXT`` with its squared expansion.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -16,148 +15,93 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .contractions import (
+    REAL_TOL,
     ContractionExpr,
     eval_contraction,
+    expand_eps_square,
     is_simple_form,
     parse_contraction,
 )
-from .errors import NotSimpleForm, PartyCountUnsupported
+from .errors import DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
 from .rng import haar_random_unitary, stream_rng
-from .states import (
-    DensityOp,
-    StateTensor,
-    apply_local_unitaries,
-    odot,
-    partial_trace,
-    pure_density,
-)
+from .states import DensityOp, StateTensor, apply_local_unitaries, odot
 
-REAL_TOL = 1e-9
-
-# Index-contraction forms of the built-ins (party slot = index position).
-# These evaluate identically to the partial-trace computations below and
-# generalize verbatim to higher local dimensions.
+# Built-ins as contractions (party slot = index position).  On a DensityOp
+# they give I4_p = tr r_p^2 and I6 = tr[(r_0 x 1)(r_1 x 1)(r_2 x 1)], with r_p
+# the operator with party p traced out, lifted by the identity on party p.
 BUILTIN_PATTERN_TEXT: Mapping[str, str] = {
     "I2": "psi[i,j,k] * psi*[i,j,k]",
     "I4_1": "psi[i,j,k] * psi*[i,m,n] * psi[p,m,n] * psi*[p,j,k]",
     "I4_2": "psi[j,i,k] * psi*[m,i,n] * psi[m,p,n] * psi*[j,p,k]",
     "I4_3": "psi[j,k,i] * psi*[m,n,i] * psi[m,n,p] * psi*[j,k,p]",
     "I4_4": "psi[i,j,k] * psi*[i,j,k] * psi[m,n,p] * psi*[m,n,p]",
-    "I6": "psi[i,j,k] * psi*[i,m,n] * psi[p,q,n] * psi*[p,j,s] "
-          "* psi[r,m,s] * psi*[r,q,k]",
+    "I6": "psi[i,j,k] * psi*[i,m,n] * psi[p,q,n] * psi*[r,q,k] "
+          "* psi[r,m,s] * psi*[p,j,s]",
 }
 
-_pattern_cache: dict[str, ContractionExpr] = {}
+# Residual tangle of three qubits (Coffman-Kundu-Wootters): Cayley's
+# hyperdeterminant written as psi_{ijk} psi_{i'j'm} psi_{npk'} psi_{n'p'm'}
+# with every primed pair joined by eps.
+TANGLE_TEXT = (
+    "psi[i,j,k] * psi[i2,j2,m] * psi[n,p,k2] * psi[n2,p2,m2] * eps[i,i2]"
+    " * eps[j,j2] * eps[k,k2] * eps[m,m2] * eps[n,n2] * eps[p,p2]"
+)
+
+
+@functools.cache
+def _parsed_builtins() -> dict[str, ContractionExpr]:
+    return {name: parse_contraction(text) for name, text in BUILTIN_PATTERN_TEXT.items()}
 
 
 def builtin_patterns() -> dict[str, ContractionExpr]:
     """Parsed contraction expressions for the built-in invariants."""
-    if not _pattern_cache:
-        for name, text in BUILTIN_PATTERN_TEXT.items():
-            _pattern_cache[name] = parse_contraction(text)
-    return dict(_pattern_cache)
+    return dict(_parsed_builtins())
 
 
-def _as_density(state) -> DensityOp:
-    if isinstance(state, StateTensor):
-        return pure_density(state)
-    if isinstance(state, DensityOp):
-        return state
-    raise TypeError(f"expected StateTensor or DensityOp, got {type(state).__name__}")
+@functools.cache
+def _tangle_expr() -> ContractionExpr:
+    # psi-only by design: the hyperdeterminant is an SL(2)^3 invariant
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeImbalanceWarning)
+        return parse_contraction(TANGLE_TEXT)
 
 
-def _embed_with_identity(reduced: np.ndarray, dims: tuple[int, ...], party: int) -> np.ndarray:
-    """Lift an operator on the other two parties to the full space, acting
-    as identity on ``party`` (party order preserved)."""
-    rest = [p for p in range(3) if p != party]
-    da, db = dims[rest[0]], dims[rest[1]]
-    r = reduced.reshape(da, db, da, db)
-    eye = np.eye(dims[party], dtype=complex)
-    # row/col axis labels per party: rows 0,1,2 and cols 3,4,5
-    sub_r = [rest[0], rest[1], rest[0] + 3, rest[1] + 3]
-    sub_e = [party, party + 3]
-    full = np.einsum(r, sub_r, eye, sub_e, [0, 1, 2, 3, 4, 5])
-    side = dims[0] * dims[1] * dims[2]
-    return full.reshape(side, side)
+@functools.cache
+def _tangle_square_terms() -> list[tuple[int, ContractionExpr]]:
+    return expand_eps_square(_tangle_expr())
+
+
+def _builtin_value(name: str, state) -> float:
+    if isinstance(state, (StateTensor, DensityOp)) and state.n_parties != 3:
+        raise PartyCountUnsupported(
+            f"built-in invariants are defined for 3 parties, got {state.n_parties}"
+        )
+    out = eval_contraction(_parsed_builtins()[name], state)
+    if out.imag_warning:
+        warnings.warn(
+            f"{name} has imaginary part {out.value.imag:.3g}; returning the real part"
+        )
+    return float(out.value.real)
 
 
 def builtin_invariants(state) -> dict[str, float]:
     """I2, I4_1..I4_4 and I6 for a three-party pure state or density operator."""
-    rho = _as_density(state)
-    if rho.n_parties != 3:
-        raise PartyCountUnsupported(
-            f"built-in invariants are defined for 3 parties, got {rho.n_parties}"
-        )
-    m = rho.matrix
-    i2 = np.trace(m)
-    reductions = [partial_trace(rho, {p}).matrix for p in range(3)]
-    i4 = [np.trace(r @ r) for r in reductions]
-    embedded = [
-        _embed_with_identity(reductions[p], rho.dims, p) for p in range(3)
-    ]
-    i6 = np.trace(embedded[0] @ embedded[1] @ embedded[2])
-    values = {
-        "I2": i2,
-        "I4_1": i4[0],
-        "I4_2": i4[1],
-        "I4_3": i4[2],
-        "I4_4": i2 * i2,
-        "I6": i6,
-    }
-    out = {}
-    for name, v in values.items():
-        v = complex(v)
-        if abs(v.imag) > REAL_TOL:
-            warnings.warn(
-                f"{name} has imaginary part {v.imag:.3g}; returning the real part"
-            )
-        out[name] = float(v.real)
-    return out
+    return {name: _builtin_value(name, state) for name in BUILTIN_PATTERN_TEXT}
 
 
-def _check_three_qubits(state: StateTensor) -> None:
+def _check_three_qubits(state) -> None:
+    if not isinstance(state, StateTensor):
+        raise TypeError(f"the residual tangle needs a StateTensor, got {type(state).__name__}")
     if state.dims != (2, 2, 2):
         raise PartyCountUnsupported(
             f"the residual tangle needs three qubits, got dims {list(state.dims)}"
         )
 
 
-_EPS = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-
-# tangle index wiring: psi_{ijk} psi_{i'j'm} psi_{npk'} psi_{n'p'm'}
-# eps_{ii'} eps_{jj'} eps_{kk'} eps_{mm'} eps_{nn'} eps_{pp'}, with integer
-# labels i,i',j,j',k,k',m,m',n,n',p,p' -> 0..11.
-_TANGLE_PSI_SUBS = ([0, 2, 4], [1, 3, 6], [8, 10, 5], [9, 11, 7])
-_TANGLE_EPS_SUBS = ([0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11])
-
-
-def _tangle_sum(t: np.ndarray) -> complex:
-    args: list = []
-    for sub in _TANGLE_PSI_SUBS:
-        args += [t, sub]
-    for sub in _TANGLE_EPS_SUBS:
-        args += [_EPS, sub]
-    args.append([])
-    return complex(np.einsum(*args, optimize="greedy"))
-
-
 def tangle(state: StateTensor) -> float:
     """Residual tangle: twice the modulus of the epsilon-contracted quartic."""
     _check_three_qubits(state)
-    return 2.0 * abs(_tangle_sum(state.tensor()))
-
-
-# conjugate-side slots of the squared tangle, written with (X, X') label
-# pairs per letter; straight pairing gives delta_{xX} delta_{x'X'}, the
-# swapped pairing delta_{xX'} delta_{x'X} with a minus sign.
-_T2_LETTER_PAIRS = ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11))  # i j k m n p
-_T2_CONJ_TEMPLATE = (
-    ("i", "j", "k"),      # psi*_{I J K}
-    ("i'", "j'", "m"),    # psi*_{I' J' M}
-    ("n", "p", "k'"),     # psi*_{N P K'}
-    ("n'", "p'", "m'"),   # psi*_{N' P' M'}
-)
-_LETTER_POS = {"i": 0, "j": 1, "k": 2, "m": 3, "n": 4, "p": 5}
+    return 2.0 * abs(eval_contraction(_tangle_expr(), state).value)
 
 
 def tangle_squared_expanded(state: StateTensor) -> float:
@@ -167,36 +111,11 @@ def tangle_squared_expanded(state: StateTensor) -> float:
     of the expansion is that every term is a simple-form contraction.
     """
     _check_three_qubits(state)
-    t = state.tensor()
-    tc = t.conj()
-    total = 0.0 + 0.0j
-    for choice in itertools.product((0, 1), repeat=6):
-        sign = (-1) ** sum(choice)
-        conj_subs = []
-        for slots in _T2_CONJ_TEMPLATE:
-            sub = []
-            for name in slots:
-                primed = name.endswith("'")
-                letter = name[0]
-                lo, hi = _T2_LETTER_PAIRS[_LETTER_POS[letter]]
-                swapped = choice[_LETTER_POS[letter]] == 1
-                if not swapped:
-                    sub.append(hi if primed else lo)
-                else:
-                    sub.append(lo if primed else hi)
-            conj_subs.append(sub)
-        args: list = []
-        for sub in _TANGLE_PSI_SUBS:
-            args += [t, list(sub)]
-        for sub in conj_subs:
-            args += [tc, sub]
-        args.append([])
-        total += sign * complex(np.einsum(*args, optimize="greedy"))
-    value = 4.0 * total
-    if abs(value.imag) > REAL_TOL:
-        warnings.warn(
-            f"squared-tangle expansion has imaginary part {value.imag:.3g}"
-        )
+    values = [sign * eval_contraction(term, state).value
+              for sign, term in _tangle_square_terms()]
+    value = 4.0 * sum(values)
+    if abs(value.imag) > REAL_TOL * 4.0 * sum(abs(v) for v in values):
+        warnings.warn(f"squared-tangle expansion has imaginary part {value.imag:.3g}")
     return float(value.real)
 
 
@@ -282,6 +201,6 @@ def _as_evaluator(target) -> Callable[[StateTensor], complex]:
         if target == "tangle":
             return tangle
         if target in BUILTIN_PATTERN_TEXT:
-            return lambda s: builtin_invariants(s)[target]
+            return lambda s: _builtin_value(target, s)
         raise KeyError(f"unknown invariant name {target!r}")
     raise TypeError(f"cannot evaluate target of type {type(target).__name__}")

@@ -148,14 +148,16 @@ def compare_dlocc(
         e_a, res_a = _evaluate_item(a, item, cfg)
         e_b, res_b = _evaluate_item(b, item, cfg)
         # candidate witnesses; firm up the (possibly undersolved) low side
+        # and judge it against the configuration that produced it
+        cfg_a = cfg_b = cfg
         if e_b < e_a - WITNESS_TOL:
-            e_b, res_b = _confirm_low_side(b, item, cfg, res_b, e_b)
+            e_b, res_b, cfg_b = _confirm_low_side(b, item, cfg, res_b, e_b)
         elif e_a < e_b - WITNESS_TOL:
-            e_a, res_a = _confirm_low_side(a, item, cfg, res_a, e_a)
+            e_a, res_a, cfg_a = _confirm_low_side(a, item, cfg, res_a, e_a)
         rows.append(ComparisonRow(item, e_a, e_b))
-        if e_b < e_a - WITNESS_TOL and _trusted(res_b, cfg):
+        if e_b < e_a - WITNESS_TOL and _trusted(res_b, cfg_b):
             blocked["a_to_b"].append(item.key())
-        if e_a < e_b - WITNESS_TOL and _trusted(res_a, cfg):
+        if e_a < e_b - WITNESS_TOL and _trusted(res_a, cfg_a):
             blocked["b_to_a"].append(item.key())
     return ComparisonReport(
         tuple(rows), tuple(blocked["a_to_b"]), tuple(blocked["b_to_a"])
@@ -167,9 +169,11 @@ def _trusted(res: MonotoneResult | None, cfg: SolverConfig) -> bool:
 
 
 def _confirm_low_side(state, item, cfg, res, value):
+    """(value, result, config used), escalating the restarts if untrusted."""
     if res is not None and not result_is_trusted(res, cfg):
-        value, res = _evaluate_item(state, item, escalate(cfg))
-    return value, res
+        cfg = escalate(cfg)
+        value, res = _evaluate_item(state, item, cfg)
+    return value, res, cfg
 
 
 @dataclass(frozen=True)

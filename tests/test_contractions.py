@@ -11,16 +11,17 @@ from entmono.contractions import (
 )
 from entmono.errors import (
     ContractionSyntaxError,
+    DegreeImbalanceError,
     DegreeImbalanceWarning,
     DimensionMismatch,
     EpsDimensionError,
     IndexArityError,
     SlotArityError,
 )
-from entmono.invariants import BUILTIN_PATTERN_TEXT, builtin_invariants
-from entmono.states import new_state
+from entmono.invariants import BUILTIN_PATTERN_TEXT
+from entmono.states import DensityOp, new_state, pure_density
 
-from conftest import random_states
+from conftest import mixed_op, random_states, trace_reference
 
 TANGLE_INNER = (
     "psi[i,j,k] * psi[i2,j2,m] * psi[n,p,k2] * psi[n2,p2,m2] * eps[i,i2]"
@@ -133,12 +134,31 @@ def test_eval_delta_chain_dimension_inference():
 
 def test_eval_matches_trace_path_on_random_states():
     patterns = {name: parse_contraction(t) for name, t in BUILTIN_PATTERN_TEXT.items()}
-    for s in random_states((2, 2, 2), 6, seed=50):
-        via_traces = builtin_invariants(s)
+    cases = random_states((2, 2, 2), 4, seed=50) + random_states((3, 3, 3), 2, seed=51)
+    cases.append(mixed_op((3, 3, 3), (2, 3), (0.3, 0.7)))
+    for x in cases:
+        want = trace_reference(x if isinstance(x, DensityOp) else pure_density(x))
         for name, expr in patterns.items():
-            got = eval_contraction(expr, s).value
-            assert got.imag == pytest.approx(0.0, abs=1e-12)
-            assert got.real == pytest.approx(via_traces[name], abs=1e-12)
+            assert abs(eval_contraction(expr, x).value - want[name]) < 1e-12, (name, x.dims)
+
+
+def test_eval_unbalanced_on_density_is_typed_error(ghz):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeImbalanceWarning)
+        expr = parse_contraction(TANGLE_INNER)
+    with pytest.raises(DegreeImbalanceError):
+        eval_contraction(expr, pure_density(ghz))
+
+
+def test_eval_delta_same_on_state_and_density():
+    expr = parse_contraction(
+        "psi[i,j,k] * psi*[m,j,n] * delta[i,m] * psi[p,q,n] * psi*[p,q,r] * delta[r,k]"
+    )
+    for s in random_states((2, 3, 2), 3, seed=52):
+        on_state = eval_contraction(expr, s).value
+        on_rho = eval_contraction(expr, pure_density(s)).value
+        assert abs(on_state - on_rho) < 1e-12
+        assert abs(on_state - trace_reference(pure_density(s))["I4_3"]) < 1e-12
 
 
 def test_simple_form_builtins():

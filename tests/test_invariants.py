@@ -4,9 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from entmono.contractions import parse_contraction
+from entmono.contractions import (
+    eval_contraction,
+    expand_eps_square,
+    is_simple_form,
+    parse_contraction,
+)
 from entmono.errors import DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
 from entmono.invariants import (
+    TANGLE_TEXT,
     builtin_invariants,
     builtin_patterns,
     local_unitary_invariance_check,
@@ -17,7 +23,7 @@ from entmono.invariants import (
 from entmono.rng import haar_random_state
 from entmono.states import StateTensor, new_state, pure_density
 
-from conftest import random_states
+from conftest import mixed_op, random_states, trace_reference
 
 # frozen from the direct-summation oracles below (15+ digits)
 I6_KEMPE1 = 0.3425858290723155
@@ -86,6 +92,27 @@ def test_builtins_on_density_input(ghz):
         assert via_rho[name] == pytest.approx(via_state[name], abs=1e-12)
 
 
+def test_builtins_on_mixed_density_match_partial_traces():
+    for rho in (mixed_op((3, 3, 3), (2, 3), (0.3, 0.7)),
+                mixed_op((2, 3, 2), (4, 5, 6), (0.5, 0.25, 0.25))):
+        got = builtin_invariants(rho)
+        for name, want in trace_reference(rho).items():
+            assert abs(want.imag) < 1e-12
+            assert got[name] == pytest.approx(want.real, abs=1e-12), name
+
+
+def test_builtins_scale_with_the_state():
+    degree = {"I2": 2, "I4_1": 4, "I4_2": 4, "I4_3": 4, "I4_4": 4, "I6": 6}
+    s = haar_random_state((3, 3, 3), 5)
+    base = builtin_invariants(s)
+    for c in (1e-8, 1e-4, 1e4, 1e8):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = builtin_invariants(StateTensor(s.dims, c * s.amps))
+        for name, value in base.items():
+            assert got[name] == pytest.approx(c ** degree[name] * value, rel=1e-9), (c, name)
+
+
 def test_builtins_on_qutrits():
     s = haar_random_state((3, 3, 3), 61)
     inv = builtin_invariants(s)
@@ -140,6 +167,22 @@ def test_tangle_party_count(rng):
 def test_tangle_squared_expansion_reference(ghz, w):
     assert tangle_squared_expanded(ghz) == pytest.approx(1.0, abs=1e-9)
     assert tangle_squared_expanded(w) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_tangle_eps_square_expansion_terms():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegreeImbalanceWarning)
+        expr = parse_contraction(TANGLE_TEXT)
+    terms = expand_eps_square(expr)
+    assert len(terms) == 64
+    assert sorted(sign for sign, _ in terms) == [-1] * 32 + [1] * 32
+    for _, term in terms:
+        ok, why = is_simple_form(term)
+        assert ok, why
+    for s in random_states((2, 2, 2), 3, seed=73):
+        total = sum(sign * eval_contraction(term, s).value for sign, term in terms)
+        assert 4 * total.real == pytest.approx(loop_tangle(s) ** 2, abs=1e-12)
+        assert abs(total.imag) < 1e-12
 
 
 def test_tangle_squared_expansion_equals_square():

@@ -1,5 +1,6 @@
 import pytest
 
+from entmono import catalog, locc
 from entmono.errors import NotNormalized, NotSimpleForm, StructureMismatch
 from entmono.locc import (
     RankItem,
@@ -8,9 +9,11 @@ from entmono.locc import (
     default_rank_items,
     slocc_bound,
 )
-from entmono.monotones import SolverConfig
+from entmono.monotones import MonotoneResult, SolverConfig
 from entmono.rng import haar_random_state
-from entmono.states import StateTensor, new_state
+from entmono.states import StateTensor, new_state, pure_density
+
+from conftest import trace_reference
 
 CFG = SolverConfig(restarts=16, seed=3)
 
@@ -57,6 +60,27 @@ def test_compare_self_is_clean(ghz):
 def test_compare_structure_mismatch(ghz):
     with pytest.raises(StructureMismatch):
         compare_dlocc(ghz, haar_random_state((2, 2), 1), cfg=CFG)
+
+
+@pytest.mark.parametrize("agreeing, blocked", [(20, False), (40, True)])
+def test_escalated_low_side_judged_against_escalated_restarts(
+    monkeypatch, w, ghz, agreeing, blocked
+):
+    # b's low value is found by 5 of 33 starts, then by `agreeing` of the
+    # 65 starts of the escalated re-solve; a needs no confirmation
+    restarts_seen = []
+
+    def fake_solve(state, ks, cfg):
+        restarts_seen.append(cfg.restarts)
+        if state is w:
+            return MonotoneResult(0.6, ks, None, True, cfg.restarts + 1)
+        return MonotoneResult(0.4, ks, None, True, 5 if cfg.restarts == 32 else agreeing)
+
+    monkeypatch.setattr(locc, "solve_E", fake_solve)
+    report = compare_dlocc(w, ghz, [RankItem(None, (1, 1, 1))], SolverConfig(restarts=32))
+    assert restarts_seen == [32, 32, 64]
+    assert report.rows[0].e_b == 0.4
+    assert bool(report.a_to_b_blocked) is blocked
 
 
 def test_compare_report_dict(w, ghz):
@@ -120,6 +144,18 @@ def test_copy_ratio_kempe_empty(kempe1, kempe2):
     )
     assert report.feasible == ()
     assert report.odot_check_passed
+
+
+def test_copy_ratio_qutrit_pair_matches_partial_traces():
+    names = ["I4_1", "I4_2", "I4_3", "I6"]
+    a = catalog.resolve_state("haar:3x3x3:1")
+    b = catalog.resolve_state("haar:3x3x3:2")
+    report = copy_ratio_feasibility(a, b, names)
+    assert report.odot_check_passed
+    for state, values in ((a, report.values_a), (b, report.values_b)):
+        want = trace_reference(pure_density(state))
+        for name, value in zip(names, values):
+            assert abs(value - want[name]) < 1e-12, name
 
 
 def test_copy_ratio_self_diagonal(kempe1):
