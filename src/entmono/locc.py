@@ -11,9 +11,13 @@ Three verdict machines:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .contractions import ContractionExpr, eval_contraction, is_simple_form, parse_contraction
 from .errors import NotNormalized, NotSimpleForm, StructureMismatch
@@ -33,7 +37,7 @@ WITNESS_TOL = 1e-6
 UNCONSTRAINED = None  # sentinel for "this rank imposes no restriction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankItem:
     """One monotone to evaluate: optional coarse-graining plus a rank vector."""
 
@@ -50,6 +54,16 @@ class RankItem:
 
 def default_rank_items(dims: Sequence[int]) -> list[RankItem]:
     """Fine-grained rank vectors plus every two-block coarse-graining."""
+    return list(_rank_items(tuple(int(d) for d in dims)))
+
+
+def _items_for(state: StateTensor, rank_items: Sequence[RankItem] | None) -> tuple[RankItem, ...]:
+    return tuple(rank_items) if rank_items is not None else _rank_items(state.dims)
+
+
+@functools.lru_cache(maxsize=32)
+def _rank_items(dims: tuple[int, ...]) -> tuple[RankItem, ...]:
+    # built once per dims, so every report on these dims shares the items
     n = len(dims)
     items = [
         RankItem(None, ks)
@@ -60,7 +74,7 @@ def default_rank_items(dims: Sequence[int]) -> list[RankItem]:
         bdims = grouping.block_dims(dims)
         for ks in itertools.product(range(1, bdims[0] + 1), range(1, bdims[1] + 1)):
             items.append(RankItem(grouping, ks))
-    return items
+    return tuple(items)
 
 
 def _two_block_splits(n: int) -> list[tuple[int, ...]]:
@@ -86,7 +100,7 @@ def _evaluate_item(state: StateTensor, item: RankItem, cfg: SolverConfig):
     return res.value, res
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonRow:
     item: RankItem
     e_a: float
@@ -96,11 +110,45 @@ class ComparisonRow:
         return {"rank": self.item.key(), "E_a": self.e_a, "E_b": self.e_b}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
+def _frozen_values(values, width: int) -> np.ndarray:
+    """Read-only (len(values), width) float array."""
+    out = np.array(values, dtype=float).reshape(-1, width)
+    out.setflags(write=False)
+    return out
+
+
+class _ComparedByRows:
+    """Equality and hashing of a report as if it stored its row objects."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ComparisonReport(_ComparedByRows):
+    """Rank items with their (E_a, E_b) values, one row of ``values`` per item."""
+
+    items: tuple[RankItem, ...]
+    values: np.ndarray
     a_to_b_blocked: tuple[str, ...]
     b_to_a_blocked: tuple[str, ...]
+
+    def _compared(self) -> tuple:
+        return (self.rows, self.a_to_b_blocked, self.b_to_a_blocked)
+
+    @property
+    def rows(self) -> tuple[ComparisonRow, ...]:
+        return tuple(
+            ComparisonRow(item, e_a, e_b)
+            for item, (e_a, e_b) in zip(self.items, self.values.tolist())
+        )
 
     @property
     def incommensurable(self) -> bool:
@@ -140,9 +188,9 @@ def compare_dlocc(
     """
     _check_same_structure(a, b)
     cfg = cfg or SolverConfig()
-    items = list(rank_items) if rank_items is not None else default_rank_items(a.dims)
+    items = _items_for(a, rank_items)
 
-    rows = []
+    values = []
     blocked = {"a_to_b": [], "b_to_a": []}
     for item in items:
         e_a, res_a = _evaluate_item(a, item, cfg)
@@ -154,13 +202,14 @@ def compare_dlocc(
             e_b, res_b, cfg_b = _confirm_low_side(b, item, cfg, res_b, e_b)
         elif e_a < e_b - WITNESS_TOL:
             e_a, res_a, cfg_a = _confirm_low_side(a, item, cfg, res_a, e_a)
-        rows.append(ComparisonRow(item, e_a, e_b))
+        values.append((e_a, e_b))
         if e_b < e_a - WITNESS_TOL and _trusted(res_b, cfg_b):
             blocked["a_to_b"].append(item.key())
         if e_a < e_b - WITNESS_TOL and _trusted(res_a, cfg_a):
             blocked["b_to_a"].append(item.key())
     return ComparisonReport(
-        tuple(rows), tuple(blocked["a_to_b"]), tuple(blocked["b_to_a"])
+        items, _frozen_values(values, 2),
+        tuple(blocked["a_to_b"]), tuple(blocked["b_to_a"]),
     )
 
 
@@ -176,7 +225,7 @@ def _confirm_low_side(state, item, cfg, res, value):
     return value, res, cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SloccRow:
     item: RankItem
     e_a: float
@@ -192,10 +241,24 @@ class SloccRow:
         }
 
 
-@dataclass(frozen=True)
-class SloccReport:
-    rows: tuple[SloccRow, ...]
+@dataclass(frozen=True, slots=True, eq=False)
+class SloccReport(_ComparedByRows):
+    """Rank items with their (E_a, E_b, bound) values, one row of ``values``
+    per item; a NaN bound is UNCONSTRAINED."""
+
+    items: tuple[RankItem, ...]
+    values: np.ndarray
     overall: float | None
+
+    def _compared(self) -> tuple:
+        return (self.rows, self.overall)
+
+    @property
+    def rows(self) -> tuple[SloccRow, ...]:
+        return tuple(
+            SloccRow(item, e_a, e_b, UNCONSTRAINED if math.isnan(bound) else bound)
+            for item, (e_a, e_b, bound) in zip(self.items, self.values.tolist())
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -222,9 +285,9 @@ def slocc_bound(
     _check_normalized(a, "a")
     _check_normalized(b, "b")
     cfg = cfg or SolverConfig()
-    items = list(rank_items) if rank_items is not None else default_rank_items(a.dims)
+    items = _items_for(a, rank_items)
 
-    rows = []
+    values = []
     constrained = []
     for item in items:
         e_a, _ = _evaluate_item(a, item, cfg)
@@ -238,13 +301,13 @@ def slocc_bound(
                 bound = UNCONSTRAINED
         else:
             bound = max(num, 0.0) / den
-        rows.append(SloccRow(item, e_a, e_b, bound))
+        values.append((e_a, e_b, math.nan if bound is None else bound))
         if bound is not None:
             constrained.append(bound)
     overall = min(min(constrained), 1.0) if constrained else UNCONSTRAINED
     if overall is not None:
         overall = max(overall, 0.0)
-    return SloccReport(tuple(rows), overall)
+    return SloccReport(items, _frozen_values(values, 3), overall)
 
 
 def _check_normalized(state: StateTensor, name: str) -> None:

@@ -14,7 +14,9 @@ sums).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -31,25 +33,44 @@ from .states import (
     DensityOp,
     PartyGrouping,
     StateTensor,
-    reduced_density,
     schmidt_values,
     squared_norm,
 )
 
 FRAME_TOL = 1e-10
+# The solver's thresholds are relative to the state's squared norm, so that
+# E(c psi) = |c|^2 E(psi) holds at every scale: the per-sweep convergence
+# test (SolverConfig.tol), the degenerate-cut gap, the agreement of a start
+# with the best one, and the slack allowed to an ascent step before it
+# counts as a decrease.
 DEGENERACY_TOL = 1e-10
 AGREEMENT_TOL = 1e-8
+ASCENT_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
+@functools.lru_cache(maxsize=256)
+def _shared(value: tuple) -> tuple:
+    """One tuple object per distinct value, so results with the same ranks
+    or frame shapes share it instead of each holding a copy."""
+    return value
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class ProjectorFrame:
-    """Per-party orthonormal column frames V_i; the projectors are V_i V_i^dag."""
+    """Per-party orthonormal column frames V_i; the projectors are V_i V_i^dag.
 
-    frames: tuple[np.ndarray, ...]
+    The frames are kept in one packed read-only buffer; ``frames`` returns
+    them as d_i x k_i views of it, in party order.  One buffer instead of
+    one array per party, because every array carries about 100 bytes of
+    header and results are often kept by the thousand.
+    """
 
-    def __post_init__(self):
-        frames = []
-        for i, v in enumerate(self.frames):
+    _packed: np.ndarray
+    _shapes: tuple[tuple[int, int], ...]
+
+    def __init__(self, frames: Sequence[np.ndarray]):
+        flat, shapes = [], []
+        for i, v in enumerate(frames):
             v = np.asarray(v, dtype=complex)
             if v.ndim != 2 or v.shape[1] > v.shape[0] or v.shape[1] < 1:
                 raise DimensionMismatch(
@@ -58,14 +79,24 @@ class ProjectorFrame:
             gram = v.conj().T @ v
             if np.max(np.abs(gram - np.eye(v.shape[1]))) > FRAME_TOL:
                 raise NonUnitary(f"frame {i} columns are not orthonormal")
-            v = v.copy()
-            v.setflags(write=False)
-            frames.append(v)
-        object.__setattr__(self, "frames", tuple(frames))
+            flat.append(v.reshape(-1))
+            shapes.append(v.shape)
+        packed = np.concatenate(flat) if flat else np.empty(0, dtype=complex)
+        packed.setflags(write=False)
+        object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_shapes", _shared(tuple(shapes)))
+
+    @property
+    def frames(self) -> tuple[np.ndarray, ...]:
+        out, start = [], 0
+        for d, k in self._shapes:
+            out.append(self._packed[start:start + d * k].reshape(d, k))
+            start += d * k
+        return tuple(out)
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(v.shape[1] for v in self.frames)
+        return tuple(k for _, k in self._shapes)
 
 
 @dataclass(frozen=True)
@@ -80,7 +111,7 @@ class SolverConfig:
             raise ValueError("need restarts >= 1, max_iters >= 1, tol > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonotoneResult:
     """Certified lower bound on the monotone, with the frames that attain it."""
 
@@ -101,7 +132,7 @@ class MonotoneResult:
 
 
 def _check_ranks(dims: Sequence[int], ks: Sequence[int]) -> tuple[int, ...]:
-    ks = tuple(int(k) for k in ks)
+    ks = _shared(tuple(int(k) for k in ks))
     if len(ks) != len(dims):
         raise BadRank(f"got {len(ks)} ranks for {len(dims)} parties")
     for k, d in zip(ks, dims):
@@ -116,13 +147,32 @@ def _frames_of(frame) -> tuple[np.ndarray, ...]:
     return ProjectorFrame(tuple(frame)).frames
 
 
-def _contract_frames(t: np.ndarray, frames: Sequence[np.ndarray], skip: int = -1) -> np.ndarray:
-    """Apply V_j^dag on every axis j except ``skip``."""
-    for j, v in enumerate(frames):
-        if j == skip:
-            continue
-        t = np.moveaxis(np.tensordot(v.conj().T, t, axes=([1], [j])), 0, j)
-    return t
+def _project(t: np.ndarray, frames: Sequence[np.ndarray], skip: int | None = None) -> np.ndarray:
+    """Apply V_j^dag on every axis j except ``skip``, for S stacked starts.
+
+    ``frames[j]`` has shape (S, d_j, k_j).  The first contracted party is
+    one GEMM of the shared psi against all S frames at once, which puts
+    the start axis in front; every later party is a batched matmul.
+    Returns (S, K) with K the product of the ranks when nothing is
+    skipped, and (S, A, d_skip, B) otherwise, where A and B are the
+    products of the sizes left before and after the skipped axis.
+    """
+    order = [j for j in range(t.ndim) if j != skip]
+    first = order[0]  # party 0, or party 1 when party 0 is skipped
+    s, d, k = frames[first].shape
+    lead = frames[first].conj().transpose(0, 2, 1).reshape(s * k, d)
+    x = lead @ t.swapaxes(0, first).reshape(d, -1)
+    layout = [first] + [j for j in range(t.ndim) if j != first]
+    sizes = [k] + [t.shape[j] for j in layout[1:]]
+    for j in order[1:]:
+        pos = layout.index(j)
+        x = frames[j].conj().transpose(0, 2, 1)[:, None] @ x.reshape(
+            s, prod(sizes[:pos]), sizes[pos], -1)
+        sizes[pos] = frames[j].shape[2]
+    if skip is None:
+        return x.reshape(s, -1)
+    pos = layout.index(skip)
+    return x.reshape(s, prod(sizes[:pos]), sizes[pos], -1)
 
 
 def objective(state: StateTensor, frame) -> float:
@@ -132,7 +182,7 @@ def objective(state: StateTensor, frame) -> float:
         v.shape[0] != d for v, d in zip(frames, state.dims)
     ):
         raise DimensionMismatch("frame shapes do not match the state's party dims")
-    red = _contract_frames(state.tensor(), frames)
+    red = _project(state.tensor(), [v[None] for v in frames])
     return float(np.vdot(red, red).real)
 
 
@@ -147,60 +197,30 @@ def bipartite_E(state: StateTensor, grouping: PartyGrouping, k1: int, k2: int) -
     return float(np.sum(lam[: min(k1, k2)]))
 
 
-def _top_eigvecs(m: np.ndarray, k: int) -> tuple[np.ndarray, float, bool]:
-    """Top-k eigenvectors of a (near-)Hermitian matrix.
+def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):
+    """Top-k eigenvectors of Hermitian matrices stacked as (..., d, d).
 
-    Returns (frame, sum of top-k eigenvalues, degenerate-cut flag).
+    Returns (frames (..., d, k), sums of the top-k eigenvalues,
+    degenerate-cut flags: the k-th and (k+1)-th eigenvalues within
+    ``gap_tol``).
     """
-    m = 0.5 * (m + m.conj().T)
     w, u = np.linalg.eigh(m)
-    frame = u[:, ::-1][:, :k]
-    top = float(np.sum(w[::-1][:k]))
-    degenerate = k < m.shape[0] and abs(w[-k] - w[-k - 1]) <= DEGENERACY_TOL
-    return frame, top, degenerate
+    d = m.shape[-1]
+    frames = u[..., ::-1][..., :k]
+    top = w[..., ::-1][..., :k].sum(axis=-1)
+    if k == d:
+        return frames, top, np.zeros(w.shape[:-1], dtype=bool)
+    return frames, top, np.abs(w[..., d - k] - w[..., d - k - 1]) <= gap_tol
 
 
-def _spectral_frames(state: StateTensor, ks: Sequence[int]) -> list[np.ndarray]:
-    """Deterministic start: leading eigenvectors of each single-party marginal."""
-    out = []
-    for p, k in enumerate(ks):
-        rho = reduced_density(state, {p}).matrix
-        out.append(_top_eigvecs(rho, k)[0])
-    return out
+def _marginal(t: np.ndarray, p: int) -> np.ndarray:
+    """Single-party reduced operator X X^dag of an (unnormalized) state tensor."""
+    x = np.moveaxis(t, p, 0).reshape(t.shape[p], -1)
+    return x @ x.conj().T
 
 
 def _identity_frame(d: int, k: int) -> np.ndarray:
     return np.eye(d, dtype=complex)[:, :k]
-
-
-def _ascend(t: np.ndarray, frames: list[np.ndarray], ks: Sequence[int],
-            cfg: SolverConfig) -> tuple[float, bool, bool]:
-    """Run alternating sweeps from the given frames (modified in place).
-
-    Each party step sets its frame to the top-k eigenvectors of the
-    conditional reduced operator, which is the exact single-party optimum,
-    so the objective cannot decrease.
-    """
-    n = t.ndim
-    red = _contract_frames(t, frames)
-    prev = float(np.vdot(red, red).real)
-    degenerate = False
-    for _ in range(cfg.max_iters):
-        obj = prev
-        degenerate = False
-        for i in range(n):
-            chi = _contract_frames(t, frames, skip=i)
-            x = np.moveaxis(chi, i, 0).reshape(chi.shape[i], -1)
-            frames[i], obj, deg = _top_eigvecs(x @ x.conj().T, ks[i])
-            degenerate = degenerate or deg
-        if obj - prev < -1e-12:
-            raise ArithmeticError(
-                f"alternating step decreased the objective by {prev - obj:.3g}"
-            )
-        if abs(obj - prev) < cfg.tol:
-            return obj, True, degenerate
-        prev = obj
-    return prev, False, degenerate
 
 
 def _exact_bipartite_reducible(
@@ -209,35 +229,58 @@ def _exact_bipartite_reducible(
     """Closed form when at most one party has a restricted rank."""
     restricted = [p for p, (k, d) in enumerate(zip(ks, state.dims)) if k < d]
     frames = [_identity_frame(d, k) for d, k in zip(state.dims, ks)]
+    norm2 = squared_norm(state)
     if not restricted:
-        value = squared_norm(state)
+        value = norm2
         degenerate = False
     else:
         p = restricted[0]
-        rho = reduced_density(state, {p}).matrix
-        frames[p], value, degenerate = _top_eigvecs(rho, ks[p])
+        frames[p], value, degenerate = _top_eigvecs(
+            _marginal(state.tensor(), p), ks[p], DEGENERACY_TOL * norm2)
     return MonotoneResult(
-        value=value,
+        value=float(value),
         ranks=ks,
         certificate=ProjectorFrame(tuple(frames)),
         converged=True,
         restarts_agreeing=cfg.restarts + 1,
-        degenerate=degenerate,
+        degenerate=bool(degenerate),
     )
+
+
+def _starts(state: StateTensor, ks: tuple[int, ...], cfg: SolverConfig) -> list[np.ndarray]:
+    """Per party, the (restarts + 1, d, k) stack of start frames.
+
+    Start 0 is the deterministic spectral start (leading eigenvectors of
+    each single-party marginal); start r + 1 is drawn from
+    ``stream_rng(cfg.seed, r)``, one frame per party in party order.
+    """
+    t = state.tensor()
+    spectral = [_top_eigvecs(_marginal(t, p), k, 0.0)[0] for p, k in enumerate(ks)]
+    draws = []
+    for r in range(cfg.restarts):
+        rng = stream_rng(cfg.seed, r)
+        draws.append([haar_random_frame(d, k, rng) for d, k in zip(state.dims, ks)])
+    return [np.stack([spectral[p]] + [draw[p] for draw in draws]) for p in range(len(ks))]
 
 
 def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = None) -> MonotoneResult:
     """Maximize the product-subspace projection weight at ranks ``ks``.
 
     Runs ``cfg.restarts`` Haar-random starts plus one deterministic start
-    seeded from the single-party marginal spectra; each start ascends by
-    cyclic closed-form coordinate steps until the per-sweep gain drops
-    below ``cfg.tol``.  When at most one party is rank-restricted the
-    bipartite closed form is returned instead of iterating.
+    seeded from the single-party marginal spectra.  This is HOOI
+    (higher-order orthogonal iteration): each party step sets that
+    party's frame to the top-k eigenvectors of its conditional reduced
+    operator, the exact single-party optimum, so the objective cannot
+    decrease.  All starts sweep together, stacked on a leading axis; a
+    start leaves the sweep once its own per-sweep gain is at most
+    ``cfg.tol`` times the squared norm.  When at most one party is
+    rank-restricted the bipartite closed form is returned instead of
+    iterating.
 
     The value is a certified lower bound: it is exactly the objective of
     the returned certificate.  ``restarts_agreeing`` counts starts that
-    landed within 1e-8 of the best, as a crude confidence signal.
+    landed within 1e-8 (relative to the squared norm) of the best, as a
+    crude confidence signal.
     """
     cfg = cfg or SolverConfig()
     ks = _check_ranks(state.dims, ks)
@@ -245,31 +288,45 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
         return _exact_bipartite_reducible(state, ks, cfg)
 
     t = state.tensor()
-    starts: list[list[np.ndarray]] = [_spectral_frames(state, ks)]
-    for r in range(cfg.restarts):
-        rng = stream_rng(cfg.seed, r)
-        starts.append([haar_random_frame(d, k, rng) for d, k in zip(state.dims, ks)])
+    norm2 = squared_norm(state)
+    frames = _starts(state, ks, cfg)
+    n_starts = frames[0].shape[0]
+    value = np.zeros(n_starts)
+    converged = np.zeros(n_starts, dtype=bool)
+    degenerate = np.zeros(n_starts, dtype=bool)
+    live = np.arange(n_starts)
+    red = _project(t, frames)
+    prev = (red.real ** 2 + red.imag ** 2).sum(axis=-1)
+    for _ in range(cfg.max_iters):
+        work = [f[live] for f in frames]
+        swept_degenerate = np.zeros(live.size, dtype=bool)
+        for i, k in enumerate(ks):
+            x = _project(t, work, skip=i)
+            x = x.transpose(0, 2, 1, 3).reshape(live.size, x.shape[2], -1)
+            work[i], obj, deg = _top_eigvecs(
+                x @ x.conj().transpose(0, 2, 1), k, DEGENERACY_TOL * norm2)
+            swept_degenerate |= deg
+        if np.any(obj - prev < -ASCENT_SLACK * norm2):
+            drop = float(np.max(prev - obj))
+            raise ArithmeticError(f"alternating step decreased the objective by {drop:.3g}")
+        for f, w in zip(frames, work):
+            f[live] = w
+        value[live] = obj
+        degenerate[live] = swept_degenerate
+        done = np.abs(obj - prev) <= cfg.tol * norm2
+        converged[live] = done
+        live, prev = live[~done], obj[~done]
+        if not live.size:
+            break
 
-    best_value = -np.inf
-    best_frames: list[np.ndarray] | None = None
-    best_degenerate = False
-    all_converged = True
-    values = []
-    for frames in starts:
-        value, converged, degenerate = _ascend(t, frames, ks, cfg)
-        values.append(value)
-        all_converged = all_converged and converged
-        if value > best_value:
-            best_value, best_frames, best_degenerate = value, frames, degenerate
-
-    agreeing = int(sum(1 for v in values if best_value - v <= AGREEMENT_TOL))
+    best = int(np.argmax(value))
     return MonotoneResult(
-        value=best_value,
+        value=float(value[best]),
         ranks=ks,
-        certificate=ProjectorFrame(tuple(best_frames)),
-        converged=all_converged,
-        restarts_agreeing=agreeing,
-        degenerate=best_degenerate,
+        certificate=ProjectorFrame(tuple(f[best] for f in frames)),
+        converged=bool(converged.all()),
+        restarts_agreeing=int(np.sum(value[best] - value <= AGREEMENT_TOL * norm2)),
+        degenerate=bool(degenerate[best]),
     )
 
 

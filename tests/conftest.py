@@ -1,8 +1,16 @@
+import os
+
+# one BLAS thread, set before numpy loads: on a 2-CPU machine a second
+# OpenBLAS thread made a 64x64 complex matmul ~200x slower (16 ms vs
+# 0.07 ms); perfbench/run.py pins the same variables
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
 from entmono import catalog
-from entmono.rng import haar_random_state, stream_rng
+from entmono.rng import haar_random_frame, haar_random_state, stream_rng
 from entmono.states import DensityOp, partial_trace
 
 
@@ -77,3 +85,61 @@ def mixed_op(dims, seeds, weights) -> DensityOp:
     """Weighted mixture of seeded Haar states."""
     amps = [haar_random_state(dims, s).amps for s in seeds]
     return DensityOp(dims, sum(w * np.outer(a, a.conj()) for w, a in zip(weights, amps)))
+
+
+def hooi_reference(state, ks, restarts, seed, max_iters=500, tol=1e-10,
+                   agreement_tol=1e-8, degeneracy_tol=1e-10):
+    """Multi-start alternating ascent, one start at a time.
+
+    The same starts as the solver (the leading eigenvectors of each
+    single-party marginal, then one Haar frame per party from
+    ``stream_rng(seed, r)``) and the same stopping rule (per-sweep gain at
+    most ``tol`` times the squared norm), written without the solver's
+    code.  Returns (best value, starts within ``agreement_tol`` of the
+    best, all starts converged, degenerate cut at the best start's last
+    sweep); every tolerance is relative to the squared norm.
+    """
+    t = state.tensor()
+    n = t.ndim
+    norm2 = float(np.vdot(t, t).real)
+
+    def unfold(x, p):
+        return np.moveaxis(x, p, 0).reshape(x.shape[p], -1)
+
+    def top(m, k):
+        w, u = np.linalg.eigh(m)
+        gap = k < len(w) and w[-k] - w[-k - 1] <= degeneracy_tol * norm2
+        return u[:, ::-1][:, :k], float(np.sum(w[::-1][:k])), gap
+
+    def project(frames, skip=None):
+        x = t
+        for j, v in enumerate(frames):
+            if j != skip:
+                x = np.moveaxis(np.tensordot(v.conj().T, x, axes=([1], [j])), 0, j)
+        return x
+
+    starts = [[top(unfold(t, p) @ unfold(t, p).conj().T, k)[0] for p, k in enumerate(ks)]]
+    for r in range(restarts):
+        gen = stream_rng(seed, r)
+        starts.append([haar_random_frame(d, k, gen) for d, k in zip(state.dims, ks)])
+
+    runs = []
+    for frames in starts:
+        red = project(frames)
+        prev = float(np.vdot(red, red).real)
+        converged = False
+        for _ in range(max_iters):
+            degenerate = False
+            for i in range(n):
+                x = unfold(project(frames, skip=i), i)
+                frames[i], obj, gap = top(x @ x.conj().T, ks[i])
+                degenerate = degenerate or gap
+            step, prev = obj - prev, obj
+            if abs(step) <= tol * norm2:
+                converged = True
+                break
+        runs.append((prev, converged, degenerate))
+    values = [v for v, _, _ in runs]
+    best = int(np.argmax(values))
+    agreeing = sum(values[best] - v <= agreement_tol * norm2 for v in values)
+    return values[best], agreeing, all(c for _, c, _ in runs), runs[best][2]

@@ -89,6 +89,19 @@ def test_compare_report_dict(w, ghz):
     assert {"rank", "E_a", "E_b"} == set(d["pairs"][0])
 
 
+def test_reports_compare_and_hash_by_rows(w, ghz):
+    fast = SolverConfig(restarts=2, seed=3)
+    fwd, again = compare_dlocc(w, ghz, cfg=fast), compare_dlocc(w, ghz, cfg=fast)
+    assert fwd == again and hash(fwd) == hash(again)
+    assert fwd != compare_dlocc(ghz, w, cfg=fast)
+    # an unconstrained bound is stored as NaN but still compares equal
+    prod = new_state([2, 2], [1, 0, 0, 0])
+    one, two = slocc_bound(prod, prod, cfg=fast), slocc_bound(prod, prod, cfg=fast)
+    assert any(r.bound is None for r in one.rows)
+    assert one == two and hash(one) == hash(two)
+    assert one != slocc_bound(ghz, w, cfg=fast)
+
+
 def test_slocc_w_to_ghz(w, ghz):
     report = slocc_bound(w, ghz, cfg=CFG)
     assert report.overall == pytest.approx(2 / 3, abs=1e-6)

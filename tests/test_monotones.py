@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entmono import catalog
 from entmono.errors import BadGrouping, BadRank, DimensionMismatch, SumMismatch
 from entmono.monotones import (
     E_ensemble,
@@ -28,7 +29,7 @@ from entmono.states import (
     squared_norm,
 )
 
-from conftest import random_states
+from conftest import hooi_reference, random_states
 
 CFG = SolverConfig(restarts=32, seed=1)
 FAST = SolverConfig(restarts=8, seed=2)
@@ -171,6 +172,41 @@ def test_solver_unnormalized_homogeneity(w):
     scaled = StateTensor(w.dims, 1.3 * w.amps)
     v = solve_E(scaled, (1, 1, 1), CFG).value
     assert v == pytest.approx(1.69 * 4 / 9, abs=1e-6)
+
+
+@pytest.mark.parametrize("ks", [(1, 1, 1), (2, 2, 1), (2, 3, 3)])
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+def test_solver_scales_with_the_state(ks, c):
+    # every solver threshold is relative to the squared norm, so the
+    # ascent takes the same path on c psi as on psi
+    s = catalog.resolve_state("haar:3x3x3:5")
+    scaled = StateTensor(s.dims, c * s.amps)
+    base = solve_E(s, ks, CFG)
+    res = solve_E(scaled, ks, CFG)
+    assert res.value == pytest.approx(c * c * base.value, rel=1e-9)
+    assert res.restarts_agreeing == base.restarts_agreeing
+    assert res.converged == base.converged
+
+
+@pytest.mark.parametrize(
+    "spec,ks,cfg",
+    [("haar:2x2x2:1", (1, 1, 1), CFG),
+     ("haar:3x3x3:1", (2, 2, 1), CFG),
+     ("haar:2x2x2x2:1", (1, 1, 1, 1), CFG),
+     ("haar:3x3x3:2", (2, 2, 1), SolverConfig(restarts=8, max_iters=1, seed=3)),
+     # a degenerate cut at the optimum, on party 0 and not on the last party
+     ("bell-prod", (2, 1, 1), CFG)],
+)
+def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
+    state = catalog.resolve_state(spec)
+    res = solve_E(state, ks, cfg)
+    value, agreeing, converged, degenerate = hooi_reference(
+        state, ks, cfg.restarts, cfg.seed, max_iters=cfg.max_iters, tol=cfg.tol)
+    assert res.value == pytest.approx(value, abs=1e-10)
+    assert res.restarts_agreeing == agreeing
+    assert res.converged == converged
+    assert res.degenerate == degenerate
+    assert objective(state, res.certificate) == pytest.approx(res.value, abs=1e-12)
 
 
 def test_solver_local_unitary_invariance():
