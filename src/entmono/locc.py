@@ -13,28 +13,27 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
+from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .contractions import ContractionExpr, eval_contraction, is_simple_form, parse_contraction
-from .errors import NotNormalized, NotSimpleForm, StructureMismatch
+from .errors import BadGrouping, NotNormalized, NotSimpleForm, StructureMismatch
 from .invariants import BUILTIN_PATTERN_TEXT, builtin_patterns
 from .monotones import (
-    MonotoneResult,
     SolverConfig,
-    bipartite_E,
+    _check_ranks,
     coarse_grain,
     escalate,
+    nielsen_E,
     result_is_trusted,
     solve_E,
 )
 from .states import PartyGrouping, StateTensor, odot, squared_norm
 
-WITNESS_TOL = 1e-6
-UNCONSTRAINED = None  # sentinel for "this rank imposes no restriction"
+WITNESS_TOL = 1e-6  # witness margin, relative to the larger squared norm
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,10 +64,7 @@ def _items_for(state: StateTensor, rank_items: Sequence[RankItem] | None) -> tup
 def _rank_items(dims: tuple[int, ...]) -> tuple[RankItem, ...]:
     # built once per dims, so every report on these dims shares the items
     n = len(dims)
-    items = [
-        RankItem(None, ks)
-        for ks in itertools.product(*[range(1, d + 1) for d in dims])
-    ]
+    items = [RankItem(None, ks) for ks in itertools.product(*[range(1, d + 1) for d in dims])]
     for split in _two_block_splits(n):
         grouping = PartyGrouping.split(split, n)
         bdims = grouping.block_dims(dims)
@@ -79,24 +75,43 @@ def _rank_items(dims: tuple[int, ...]) -> tuple[RankItem, ...]:
 
 def _two_block_splits(n: int) -> list[tuple[int, ...]]:
     # each unordered bipartition once, keyed by the block containing party 0
-    out = []
-    rest = list(range(1, n))
-    for r in range(0, n - 1):
-        for extra in itertools.combinations(rest, r):
-            out.append((0,) + extra)
-    return out
+    return [(0,) + extra for r in range(n - 1) for extra in itertools.combinations(range(1, n), r)]
 
 
-def _evaluate_item(state: StateTensor, item: RankItem, cfg: SolverConfig):
-    """Returns (value, result-or-None); coarse two-block items are exact."""
-    if item.grouping is not None and len(item.grouping.blocks) == 2:
-        coarse = coarse_grain(state, item.grouping)
-        value = bipartite_E(
-            coarse, PartyGrouping.trivial(2), item.ranks[0], item.ranks[1]
-        )
-        return value, None
-    target = state if item.grouping is None else coarse_grain(state, item.grouping)
-    res = solve_E(target, item.ranks, cfg)
+@functools.lru_cache(maxsize=32)
+def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
+    """(one item per rank class, the class index of each item).
+
+    The items of a class name one monotone, which a profile evaluates once:
+    E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j), because party
+    i's conditional operator has at most that rank, so the class item holds
+    the fixed point of that map; on two blocks this is min(k1, k2) twice.
+    """
+    classes: dict[RankItem, int] = {}
+    index = []
+    for item in items:
+        g = item.grouping
+        if g is not None and g.n_parties != len(dims):
+            raise BadGrouping(f"grouping covers {g.n_parties} parties, state has {len(dims)}")
+        ks = _check_ranks(dims if g is None else g.block_dims(dims), item.ranks)
+        while (low := tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))) != ks:
+            ks = low
+        index.append(classes.setdefault(RankItem(g, ks), len(classes)))
+    return tuple(classes), tuple(index)
+
+
+def _profile(state: StateTensor, classes: tuple[RankItem, ...], cfg: SolverConfig) -> list:
+    """(value, solver result or None) of each rank class on one state; the
+    two-block classes of one split read one Schmidt spectrum."""
+    spectra = {g: nielsen_E(state, g) for g in dict.fromkeys(
+        c.grouping for c in classes if c.grouping is not None and len(c.ranks) == 2)}
+    return [(float(spectra[c.grouping][c.ranks[0] - 1]), None) if c.grouping in spectra
+            else _solve(state, c, cfg) for c in classes]
+
+
+def _solve(state: StateTensor, rank_class: RankItem, cfg: SolverConfig):
+    target = state if rank_class.grouping is None else coarse_grain(state, rank_class.grouping)
+    res = solve_E(target, rank_class.ranks, cfg)
     return res.value, res
 
 
@@ -110,9 +125,9 @@ class ComparisonRow:
         return {"rank": self.item.key(), "E_a": self.e_a, "E_b": self.e_b}
 
 
-def _frozen_values(values, width: int) -> np.ndarray:
-    """Read-only (len(values), width) float array."""
-    out = np.array(values, dtype=float).reshape(-1, width)
+def _frozen(rows: list, dtype) -> np.ndarray:
+    """Read-only (len(rows), 2) array."""
+    out = np.array(rows, dtype=dtype).reshape(-1, 2)
     out.setflags(write=False)
     return out
 
@@ -133,22 +148,28 @@ class _ComparedByRows:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ComparisonReport(_ComparedByRows):
-    """Rank items with their (E_a, E_b) values, one row of ``values`` per item."""
+    """Rank items with the (E_a, E_b) row and the (a -> b, b -> a) witness
+    flags of their rank classes; ``index`` maps each item to its class."""
 
     items: tuple[RankItem, ...]
+    index: tuple[int, ...]
     values: np.ndarray
-    a_to_b_blocked: tuple[str, ...]
-    b_to_a_blocked: tuple[str, ...]
+    blocked: np.ndarray
 
     def _compared(self) -> tuple:
         return (self.rows, self.a_to_b_blocked, self.b_to_a_blocked)
 
     @property
     def rows(self) -> tuple[ComparisonRow, ...]:
-        return tuple(
-            ComparisonRow(item, e_a, e_b)
-            for item, (e_a, e_b) in zip(self.items, self.values.tolist())
-        )
+        values = self.values.tolist()
+        return tuple(ComparisonRow(item, *values[c]) for item, c in zip(self.items, self.index))
+
+    def _blocked(self, side: int) -> tuple[str, ...]:
+        flags = self.blocked[:, side].tolist()
+        return tuple(item.key() for item, c in zip(self.items, self.index) if flags[c])
+
+    a_to_b_blocked = property(lambda self: self._blocked(0))
+    b_to_a_blocked = property(lambda self: self._blocked(1))
 
     @property
     def incommensurable(self) -> bool:
@@ -180,48 +201,44 @@ def compare_dlocc(
 ) -> ComparisonReport:
     """Deterministic-conversion obstructions in both directions.
 
-    A witness against a -> b is a rank with E(b) < E(a) - 1e-6.  Since the
-    solver returns lower bounds, an underestimated E(b) could fake a
-    witness; candidates whose smaller side is not found by at least half
-    the restarts are re-solved with doubled restarts, and dropped if still
-    unconfirmed.
+    A witness against a -> b is a rank with E(b) < E(a) - 1e-6 m, m the
+    larger squared norm; each rank class is evaluated once per state.
+    Since the solver returns lower bounds, an underestimated E(b) could
+    fake a witness; a candidate class whose smaller side is not found by at
+    least half the restarts is re-solved once with doubled restarts, and
+    its rows are dropped as witnesses if still unconfirmed.
     """
     _check_same_structure(a, b)
     cfg = cfg or SolverConfig()
     items = _items_for(a, rank_items)
+    classes, index = _rank_classes(items, a.dims)
+    tol = WITNESS_TOL * max(squared_norm(a), squared_norm(b))
 
-    values = []
-    blocked = {"a_to_b": [], "b_to_a": []}
-    for item in items:
-        e_a, res_a = _evaluate_item(a, item, cfg)
-        e_b, res_b = _evaluate_item(b, item, cfg)
+    values, blocked = [], []
+    for rank_class, (e_a, res_a), (e_b, res_b) in zip(
+            classes, _profile(a, classes, cfg), _profile(b, classes, cfg)):
         # candidate witnesses; firm up the (possibly undersolved) low side
         # and judge it against the configuration that produced it
         cfg_a = cfg_b = cfg
-        if e_b < e_a - WITNESS_TOL:
-            e_b, res_b, cfg_b = _confirm_low_side(b, item, cfg, res_b, e_b)
-        elif e_a < e_b - WITNESS_TOL:
-            e_a, res_a, cfg_a = _confirm_low_side(a, item, cfg, res_a, e_a)
+        if e_b < e_a - tol:
+            e_b, res_b, cfg_b = _confirm_low_side(b, rank_class, cfg, res_b, e_b)
+        elif e_a < e_b - tol:
+            e_a, res_a, cfg_a = _confirm_low_side(a, rank_class, cfg, res_a, e_a)
         values.append((e_a, e_b))
-        if e_b < e_a - WITNESS_TOL and _trusted(res_b, cfg_b):
-            blocked["a_to_b"].append(item.key())
-        if e_a < e_b - WITNESS_TOL and _trusted(res_a, cfg_a):
-            blocked["b_to_a"].append(item.key())
-    return ComparisonReport(
-        items, _frozen_values(values, 2),
-        tuple(blocked["a_to_b"]), tuple(blocked["b_to_a"]),
-    )
+        blocked.append((e_b < e_a - tol and _trusted(res_b, cfg_b),
+                        e_a < e_b - tol and _trusted(res_a, cfg_a)))
+    return ComparisonReport(items, index, _frozen(values, float), _frozen(blocked, bool))
 
 
-def _trusted(res: MonotoneResult | None, cfg: SolverConfig) -> bool:
+def _trusted(res, cfg: SolverConfig) -> bool:
     return res is None or result_is_trusted(res, cfg)
 
 
-def _confirm_low_side(state, item, cfg, res, value):
+def _confirm_low_side(state, rank_class, cfg, res, value):
     """(value, result, config used), escalating the restarts if untrusted."""
     if res is not None and not result_is_trusted(res, cfg):
         cfg = escalate(cfg)
-        value, res = _evaluate_item(state, item, cfg)
+        value, res = _solve(state, rank_class, cfg)
     return value, res, cfg
 
 
@@ -230,7 +247,7 @@ class SloccRow:
     item: RankItem
     e_a: float
     e_b: float
-    bound: float | None  # None = UNCONSTRAINED
+    bound: float | None  # None: this rank imposes no restriction
 
     def to_dict(self) -> dict:
         return {
@@ -241,24 +258,37 @@ class SloccRow:
         }
 
 
+def _row_bound(e_a: float, e_b: float) -> float | None:
+    """p <= (1 - E(a)) / (1 - E(b)) for one rank; None if it does not restrict."""
+    num, den = 1.0 - e_a, 1.0 - e_b
+    if den > 1e-9:
+        return max(num, 0.0) / den
+    return 0.0 if num <= 1e-9 and abs(e_a - e_b) > WITNESS_TOL else None
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class SloccReport(_ComparedByRows):
-    """Rank items with their (E_a, E_b, bound) values, one row of ``values``
-    per item; a NaN bound is UNCONSTRAINED."""
+    """Rank items with the (E_a, E_b) row of their rank classes; ``index``
+    maps each item to its class, and the bounds are derived on access."""
 
     items: tuple[RankItem, ...]
+    index: tuple[int, ...]
     values: np.ndarray
-    overall: float | None
 
     def _compared(self) -> tuple:
-        return (self.rows, self.overall)
+        return self.rows
 
     @property
     def rows(self) -> tuple[SloccRow, ...]:
-        return tuple(
-            SloccRow(item, e_a, e_b, UNCONSTRAINED if math.isnan(bound) else bound)
-            for item, (e_a, e_b, bound) in zip(self.items, self.values.tolist())
-        )
+        values = self.values.tolist()
+        return tuple(SloccRow(item, *values[c], _row_bound(*values[c]))
+                     for item, c in zip(self.items, self.index))
+
+    @property
+    def overall(self) -> float | None:
+        """The minimum of the constrained row bounds, clamped to [0, 1]."""
+        bounds = [b for b in itertools.starmap(_row_bound, self.values.tolist()) if b is not None]
+        return max(min(min(bounds), 1.0), 0.0) if bounds else None
 
     def to_dict(self) -> dict:
         return {
@@ -279,35 +309,17 @@ def slocc_bound(
     no restriction, unless E(a) is also 1 while the values remain
     distinguishable, in which case the conversion is outright impossible.
     The overall bound is the minimum of the constrained rows clamped to
-    [0, 1].
+    [0, 1].  Each rank class is evaluated once per state.
     """
     _check_same_structure(a, b)
     _check_normalized(a, "a")
     _check_normalized(b, "b")
     cfg = cfg or SolverConfig()
     items = _items_for(a, rank_items)
-
-    values = []
-    constrained = []
-    for item in items:
-        e_a, _ = _evaluate_item(a, item, cfg)
-        e_b, _ = _evaluate_item(b, item, cfg)
-        num = 1.0 - e_a
-        den = 1.0 - e_b
-        if den <= 1e-9:
-            if num <= 1e-9 and abs(e_a - e_b) > WITNESS_TOL:
-                bound = 0.0
-            else:
-                bound = UNCONSTRAINED
-        else:
-            bound = max(num, 0.0) / den
-        values.append((e_a, e_b, math.nan if bound is None else bound))
-        if bound is not None:
-            constrained.append(bound)
-    overall = min(min(constrained), 1.0) if constrained else UNCONSTRAINED
-    if overall is not None:
-        overall = max(overall, 0.0)
-    return SloccReport(items, _frozen_values(values, 3), overall)
+    classes, index = _rank_classes(items, a.dims)
+    values = [(e_a, e_b) for (e_a, _), (e_b, _)
+              in zip(_profile(a, classes, cfg), _profile(b, classes, cfg))]
+    return SloccReport(items, index, _frozen(values, float))
 
 
 def _check_normalized(state: StateTensor, name: str) -> None:

@@ -187,14 +187,13 @@ def objective(state: StateTensor, frame) -> float:
 
 
 def bipartite_E(state: StateTensor, grouping: PartyGrouping, k1: int, k2: int) -> float:
-    """Exact two-block value: sum of the top min(k1, k2) Schmidt eigenvalues."""
+    """Exact two-block value: the nielsen_E partial sum at min(k1, k2)."""
     if len(grouping.blocks) != 2:
         raise BadGrouping("bipartite_E needs a two-block grouping")
     d1, d2 = grouping.block_dims(state.dims)
     if not (1 <= k1 <= d1) or not (1 <= k2 <= d2):
         raise BadRank(f"ranks ({k1}, {k2}) outside block dims ({d1}, {d2})")
-    lam = schmidt_values(state, grouping)
-    return float(np.sum(lam[: min(k1, k2)]))
+    return float(nielsen_E(state, grouping)[min(k1, k2) - 1])
 
 
 def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):

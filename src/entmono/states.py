@@ -227,7 +227,8 @@ def odot(a: StateTensor, b: StateTensor) -> StateTensor:
 
 
 def schmidt_values(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
-    """Decreasing eigenvalues of the block-1 reduced density operator.
+    """Decreasing eigenvalues of the block-1 reduced operator X X^dag,
+    clipped at zero; no DensityOp is built, so they scale as |c|^2 at any c.
 
     The vector has length dim(block 1) and sums to the squared norm.
     """
@@ -237,7 +238,10 @@ def schmidt_values(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
         raise BadGrouping(
             f"grouping covers {grouping.n_parties} parties, state has {state.n_parties}"
         )
-    return reduced_density(state, grouping.blocks[0]).spectrum()
+    first, rest = grouping.blocks
+    x = state.tensor().transpose(first + rest).reshape(prod(state.dims[p] for p in first), -1)
+    m = x @ x.conj().T
+    return np.maximum(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1], 0.0)
 
 
 def apply_local_unitaries(state: StateTensor, units: Sequence[np.ndarray]) -> StateTensor:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from entmono import catalog, locc
@@ -77,10 +79,69 @@ def test_escalated_low_side_judged_against_escalated_restarts(
         return MonotoneResult(0.4, ks, None, True, 5 if cfg.restarts == 32 else agreeing)
 
     monkeypatch.setattr(locc, "solve_E", fake_solve)
-    report = compare_dlocc(w, ghz, [RankItem(None, (1, 1, 1))], SolverConfig(restarts=32))
-    assert restarts_seen == [32, 32, 64]
-    assert report.rows[0].e_b == 0.4
-    assert bool(report.a_to_b_blocked) is blocked
+    # one item, then the four fine items of rank class (1,1,1): the class
+    # is solved and escalated once, and its rows are blocked together
+    class_111 = [RankItem(None, ks) for ks in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]]
+    for items in (class_111[:1], class_111):
+        restarts_seen.clear()
+        report = compare_dlocc(w, ghz, items, SolverConfig(restarts=32))
+        assert restarts_seen == [32, 32, 64]
+        assert [r.e_b for r in report.rows] == [0.4] * len(items)
+        assert report.a_to_b_blocked == (tuple(it.key() for it in items) if blocked else ())
+
+
+def _rank_class(item):
+    """Rank items naming one monotone: two-block values depend on min(k1, k2)
+    only, and E_(k) on the fixed point of k_i -> min(k_i, prod_{j != i} k_j)."""
+    ks = item.ranks
+    if item.grouping is not None:
+        return item.grouping, min(ks)
+    while True:
+        low = tuple(min(k, math.prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))
+        if low == ks:
+            return None, ks
+        ks = low
+
+
+@pytest.mark.parametrize("sa, sb, solves, iterative", [
+    ("w", "ghz", 10, 2),  # 5 fine classes per state, 1 of them iterative
+    ("haar:2x2x2x2:1", "haar:2x2x2x2:2", 24, 14),  # 12 per state, 7 iterative
+])
+def test_profile_solves_each_rank_class_once(monkeypatch, sa, sb, solves, iterative):
+    restricted = []
+    real_solve = locc.solve_E
+
+    def counting_solve(state, ks, cfg):
+        restricted.append(sum(k < d for k, d in zip(ks, state.dims)))
+        return real_solve(state, ks, cfg)
+
+    monkeypatch.setattr(locc, "solve_E", counting_solve)
+    a, b = catalog.resolve_state(sa), catalog.resolve_state(sb)
+    report = compare_dlocc(a, b, cfg=CFG)
+    # one solve per fine class and state, none for the two-block items
+    # (every item evaluated on its own makes 16 and 32 solves)
+    assert len(restricted) == solves
+    assert sum(r >= 2 for r in restricted) == iterative
+    values = {}
+    for row in report.rows:
+        assert values.setdefault(_rank_class(row.item), (row.e_a, row.e_b)) == (row.e_a, row.e_b)
+    assert len(values) == {3: 11, 4: 32}[a.n_parties]
+
+
+@pytest.mark.parametrize("c", [1e-4, 1e4])
+def test_witnesses_do_not_depend_on_the_scale(w, ghz, c):
+    # the witness margin is relative to the larger squared norm
+    def scaled(s):
+        return StateTensor(s.dims, c * s.amps)
+
+    a, b = catalog.resolve_state("haar:3x3x3:1"), catalog.resolve_state("haar:3x3x3:2")
+    two_block = [it for it in default_rank_items(a.dims) if it.grouping is not None]
+    for x, y, items in ((w, ghz, None), (a, b, two_block)):
+        base = compare_dlocc(x, y, items, CFG)
+        report = compare_dlocc(scaled(x), scaled(y), items, CFG)
+        assert base.a_to_b_blocked and base.b_to_a_blocked
+        assert report.a_to_b_blocked == base.a_to_b_blocked
+        assert report.b_to_a_blocked == base.b_to_a_blocked
 
 
 def test_compare_report_dict(w, ghz):
@@ -94,7 +155,7 @@ def test_reports_compare_and_hash_by_rows(w, ghz):
     fwd, again = compare_dlocc(w, ghz, cfg=fast), compare_dlocc(w, ghz, cfg=fast)
     assert fwd == again and hash(fwd) == hash(again)
     assert fwd != compare_dlocc(ghz, w, cfg=fast)
-    # an unconstrained bound is stored as NaN but still compares equal
+    # an unconstrained bound is derived on access as None and compares equal
     prod = new_state([2, 2], [1, 0, 0, 0])
     one, two = slocc_bound(prod, prod, cfg=fast), slocc_bound(prod, prod, cfg=fast)
     assert any(r.bound is None for r in one.rows)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from entmono.states import (
     apply_unilocal_kraus,
     new_state,
     odot,
+    schmidt_values,
     squared_norm,
 )
 
@@ -186,6 +189,37 @@ def test_solver_scales_with_the_state(ks, c):
     assert res.value == pytest.approx(c * c * base.value, rel=1e-9)
     assert res.restarts_agreeing == base.restarts_agreeing
     assert res.converged == base.converged
+
+
+@pytest.mark.parametrize("spec", ["haar:3x3x3:5", "haar:2x2x2x2:1"])
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+def test_schmidt_spectra_scale_with_the_state(spec, c):
+    # no absolute Hermiticity or positivity check stands between X X^dag
+    # and its spectrum, on any cut
+    s = catalog.resolve_state(spec)
+    n = s.n_parties
+    scaled = StateTensor(s.dims, c * s.amps)
+    scale = c * c * squared_norm(s)
+    for r in range(n - 1):
+        for extra in itertools.combinations(range(1, n), r):
+            split = PartyGrouping.split((0,) + extra, n)
+            for f in (schmidt_values, nielsen_E):
+                np.testing.assert_allclose(
+                    f(scaled, split), c * c * f(s, split), rtol=0, atol=1e-9 * scale)
+            want = c * c * bipartite_E(s, split, 2, 2)
+            assert bipartite_E(scaled, split, 2, 2) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, ranks", [
+    ("haar:4x4x4:1", [(2, 1, 2), (4, 1, 2), (2, 1, 4), (3, 1, 2)]),
+    ("w", [(1, 1, 1), (2, 1, 1), (1, 2, 1)]),
+])
+def test_rank_class_shares_one_value(spec, ranks):
+    # E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j): party i's
+    # conditional operator has at most that rank
+    s = catalog.resolve_state(spec)
+    values = [solve_E(s, ks, CFG).value for ks in ranks]
+    assert max(values) - min(values) <= 1e-9
 
 
 @pytest.mark.parametrize(
