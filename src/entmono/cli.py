@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="evaluate polynomial invariants")
     p_inv.add_argument("--state", required=True)
     p_inv.add_argument("--defs", help="file of contraction expressions, one per line")
-    add_common(p_inv)
+    p_inv.add_argument("--json", action="store_true")
     p_inv.set_defaults(fn=cmd_invariants)
 
     p_cmp = sub.add_parser("compare", help="convertibility analysis for a pair")

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from math import prod
 from typing import Sequence
 
-import numpy as np
-
 from .contractions import ContractionExpr, eval_contraction, is_simple_form, parse_contraction
 from .errors import BadGrouping, NotNormalized, NotSimpleForm, StructureMismatch
 from .invariants import BUILTIN_PATTERN_TEXT, builtin_patterns
@@ -34,9 +32,10 @@ from .monotones import (
 from .states import PartyGrouping, StateTensor, odot, squared_norm
 
 WITNESS_TOL = 1e-6  # witness margin, relative to the larger squared norm
+COPY_RATIO_RTOL = 1e-8  # relative gap at which two invariant powers differ
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class RankItem:
     """One monotone to evaluate: optional coarse-graining plus a rank vector."""
 
@@ -86,6 +85,9 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
     E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j), because party
     i's conditional operator has at most that rank, so the class item holds
     the fixed point of that map; on two blocks this is min(k1, k2) twice.
+    For the same reason a party i with k_i = prod_{j != i} k_j may as well
+    keep its whole space; where that leaves one restricted party out of
+    two, the class item has k_i = d_i, and ``solve_E`` takes the closed form.
     """
     classes: dict[RankItem, int] = {}
     index = []
@@ -93,9 +95,14 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
         g = item.grouping
         if g is not None and g.n_parties != len(dims):
             raise BadGrouping(f"grouping covers {g.n_parties} parties, state has {len(dims)}")
-        ks = _check_ranks(dims if g is None else g.block_dims(dims), item.ranks)
+        ds = dims if g is None else g.block_dims(dims)
+        ks = _check_ranks(ds, item.ranks)
         while (low := tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))) != ks:
             ks = low
+        restricted = [i for i, (k, d) in enumerate(zip(ks, ds)) if k < d]
+        full = [i for i in restricted if ks[i] == prod(ks[:i] + ks[i + 1:])]
+        if len(restricted) == 2 and full:
+            ks = ks[:full[0]] + (ds[full[0]],) + ks[full[0] + 1:]
         index.append(classes.setdefault(RankItem(g, ks), len(classes)))
     return tuple(classes), tuple(index)
 
@@ -105,7 +112,7 @@ def _profile(state: StateTensor, classes: tuple[RankItem, ...], cfg: SolverConfi
     two-block classes of one split read one Schmidt spectrum."""
     spectra = {g: nielsen_E(state, g) for g in dict.fromkeys(
         c.grouping for c in classes if c.grouping is not None and len(c.ranks) == 2)}
-    return [(float(spectra[c.grouping][c.ranks[0] - 1]), None) if c.grouping in spectra
+    return [(float(spectra[c.grouping][min(c.ranks) - 1]), None) if c.grouping in spectra
             else _solve(state, c, cfg) for c in classes]
 
 
@@ -115,7 +122,7 @@ def _solve(state: StateTensor, rank_class: RankItem, cfg: SolverConfig):
     return res.value, res
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ComparisonRow:
     item: RankItem
     e_a: float
@@ -125,48 +132,23 @@ class ComparisonRow:
         return {"rank": self.item.key(), "E_a": self.e_a, "E_b": self.e_b}
 
 
-def _frozen(rows: list, dtype) -> np.ndarray:
-    """Read-only (len(rows), 2) array."""
-    out = np.array(rows, dtype=dtype).reshape(-1, 2)
-    out.setflags(write=False)
-    return out
-
-
-class _ComparedByRows:
-    """Equality and hashing of a report as if it stored its row objects."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class ComparisonReport(_ComparedByRows):
+@dataclass(frozen=True)
+class ComparisonReport:
     """Rank items with the (E_a, E_b) row and the (a -> b, b -> a) witness
     flags of their rank classes; ``index`` maps each item to its class."""
 
     items: tuple[RankItem, ...]
     index: tuple[int, ...]
-    values: np.ndarray
-    blocked: np.ndarray
-
-    def _compared(self) -> tuple:
-        return (self.rows, self.a_to_b_blocked, self.b_to_a_blocked)
+    values: tuple[tuple[float, float], ...]
+    blocked: tuple[tuple[bool, bool], ...]
 
     @property
     def rows(self) -> tuple[ComparisonRow, ...]:
-        values = self.values.tolist()
-        return tuple(ComparisonRow(item, *values[c]) for item, c in zip(self.items, self.index))
+        return tuple(ComparisonRow(item, *self.values[c]) for item, c in zip(self.items, self.index))
 
     def _blocked(self, side: int) -> tuple[str, ...]:
-        flags = self.blocked[:, side].tolist()
-        return tuple(item.key() for item, c in zip(self.items, self.index) if flags[c])
+        return tuple(item.key() for item, c in zip(self.items, self.index)
+                     if self.blocked[c][side])
 
     a_to_b_blocked = property(lambda self: self._blocked(0))
     b_to_a_blocked = property(lambda self: self._blocked(1))
@@ -227,7 +209,7 @@ def compare_dlocc(
         values.append((e_a, e_b))
         blocked.append((e_b < e_a - tol and _trusted(res_b, cfg_b),
                         e_a < e_b - tol and _trusted(res_a, cfg_a)))
-    return ComparisonReport(items, index, _frozen(values, float), _frozen(blocked, bool))
+    return ComparisonReport(items, index, tuple(values), tuple(blocked))
 
 
 def _trusted(res, cfg: SolverConfig) -> bool:
@@ -242,7 +224,7 @@ def _confirm_low_side(state, rank_class, cfg, res, value):
     return value, res, cfg
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class SloccRow:
     item: RankItem
     e_a: float
@@ -266,28 +248,24 @@ def _row_bound(e_a: float, e_b: float) -> float | None:
     return 0.0 if num <= 1e-9 and abs(e_a - e_b) > WITNESS_TOL else None
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class SloccReport(_ComparedByRows):
+@dataclass(frozen=True)
+class SloccReport:
     """Rank items with the (E_a, E_b) row of their rank classes; ``index``
     maps each item to its class, and the bounds are derived on access."""
 
     items: tuple[RankItem, ...]
     index: tuple[int, ...]
-    values: np.ndarray
-
-    def _compared(self) -> tuple:
-        return self.rows
+    values: tuple[tuple[float, float], ...]
 
     @property
     def rows(self) -> tuple[SloccRow, ...]:
-        values = self.values.tolist()
-        return tuple(SloccRow(item, *values[c], _row_bound(*values[c]))
+        return tuple(SloccRow(item, *self.values[c], _row_bound(*self.values[c]))
                      for item, c in zip(self.items, self.index))
 
     @property
     def overall(self) -> float | None:
         """The minimum of the constrained row bounds, clamped to [0, 1]."""
-        bounds = [b for b in itertools.starmap(_row_bound, self.values.tolist()) if b is not None]
+        bounds = [b for b in itertools.starmap(_row_bound, self.values) if b is not None]
         return max(min(min(bounds), 1.0), 0.0) if bounds else None
 
     def to_dict(self) -> dict:
@@ -317,9 +295,9 @@ def slocc_bound(
     cfg = cfg or SolverConfig()
     items = _items_for(a, rank_items)
     classes, index = _rank_classes(items, a.dims)
-    values = [(e_a, e_b) for (e_a, _), (e_b, _)
-              in zip(_profile(a, classes, cfg), _profile(b, classes, cfg))]
-    return SloccReport(items, index, _frozen(values, float))
+    values = tuple((e_a, e_b) for (e_a, _), (e_b, _)
+                   in zip(_profile(a, classes, cfg), _profile(b, classes, cfg)))
+    return SloccReport(items, index, values)
 
 
 def _check_normalized(state: StateTensor, name: str) -> None:
@@ -363,7 +341,6 @@ def copy_ratio_feasibility(
     b: StateTensor,
     invariants: Sequence,
     cmax: int = 4,
-    cfg_tol: float = 1e-8,
 ) -> CopyRatioReport:
     """Which copy counts (C1, C2) <= cmax survive every listed invariant?
 
@@ -400,7 +377,7 @@ def copy_ratio_feasibility(
         ok = True
         for x, y in zip(va, vb):
             px, py = x ** c1, y ** c2
-            if abs(px - py) > cfg_tol * max(abs(px), abs(py)):
+            if abs(px - py) > COPY_RATIO_RTOL * max(abs(px), abs(py)):
                 ok = False
                 break
         if ok:

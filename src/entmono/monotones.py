@@ -14,7 +14,6 @@ sums).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from math import prod
 from typing import Sequence
@@ -48,30 +47,21 @@ AGREEMENT_TOL = 1e-8
 ASCENT_SLACK = 1e-12
 
 
-@functools.lru_cache(maxsize=256)
-def _shared(value: tuple) -> tuple:
-    """One tuple object per distinct value, so results with the same ranks
-    or frame shapes share it instead of each holding a copy."""
-    return value
-
-
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class ProjectorFrame:
     """Per-party orthonormal column frames V_i; the projectors are V_i V_i^dag.
 
-    The frames are kept in one packed read-only buffer; ``frames`` returns
-    them as d_i x k_i views of it, in party order.  One buffer instead of
-    one array per party, because every array carries about 100 bytes of
-    header and results are often kept by the thousand.
+    Each frame is kept as a read-only d_i x k_i copy that owns its memory,
+    so a frame taken from a larger array (say one start of a stack of
+    starts) does not keep that array alive.
     """
 
-    _packed: np.ndarray
-    _shapes: tuple[tuple[int, int], ...]
+    frames: tuple[np.ndarray, ...]
 
-    def __init__(self, frames: Sequence[np.ndarray]):
-        flat, shapes = [], []
-        for i, v in enumerate(frames):
-            v = np.asarray(v, dtype=complex)
+    def __post_init__(self):
+        frames = []
+        for i, v in enumerate(self.frames):
+            v = np.array(v, dtype=complex, order="C")
             if v.ndim != 2 or v.shape[1] > v.shape[0] or v.shape[1] < 1:
                 raise DimensionMismatch(
                     f"frame {i} has shape {v.shape}; need d x k with 1 <= k <= d"
@@ -79,24 +69,13 @@ class ProjectorFrame:
             gram = v.conj().T @ v
             if np.max(np.abs(gram - np.eye(v.shape[1]))) > FRAME_TOL:
                 raise NonUnitary(f"frame {i} columns are not orthonormal")
-            flat.append(v.reshape(-1))
-            shapes.append(v.shape)
-        packed = np.concatenate(flat) if flat else np.empty(0, dtype=complex)
-        packed.setflags(write=False)
-        object.__setattr__(self, "_packed", packed)
-        object.__setattr__(self, "_shapes", _shared(tuple(shapes)))
-
-    @property
-    def frames(self) -> tuple[np.ndarray, ...]:
-        out, start = [], 0
-        for d, k in self._shapes:
-            out.append(self._packed[start:start + d * k].reshape(d, k))
-            start += d * k
-        return tuple(out)
+            v.setflags(write=False)
+            frames.append(v)
+        object.__setattr__(self, "frames", tuple(frames))
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(k for _, k in self._shapes)
+        return tuple(v.shape[1] for v in self.frames)
 
 
 @dataclass(frozen=True)
@@ -111,7 +90,7 @@ class SolverConfig:
             raise ValueError("need restarts >= 1, max_iters >= 1, tol > 0")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MonotoneResult:
     """Certified lower bound on the monotone, with the frames that attain it."""
 
@@ -132,7 +111,7 @@ class MonotoneResult:
 
 
 def _check_ranks(dims: Sequence[int], ks: Sequence[int]) -> tuple[int, ...]:
-    ks = _shared(tuple(int(k) for k in ks))
+    ks = tuple(int(k) for k in ks)
     if len(ks) != len(dims):
         raise BadRank(f"got {len(ks)} ranks for {len(dims)} parties")
     for k, d in zip(ks, dims):

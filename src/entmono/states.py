@@ -32,6 +32,8 @@ from .errors import (
     PartyCountMismatch,
 )
 
+# The Hermiticity and positivity checks are relative to the operator's
+# largest entry, so that they hold for c psi at every scale c.
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -91,14 +93,15 @@ class DensityOp:
             raise LengthMismatch(
                 f"operator shape {mat.shape} does not match dims {list(dims)}"
             )
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
+        scale = float(np.max(np.abs(mat)))
+        skew = float(np.max(np.abs(mat - mat.conj().T)))
+        if skew > HERMITICITY_TOL * scale:
             raise NotHermitian(
-                "operator is not Hermitian within "
-                f"{HERMITICITY_TOL:g} (max deviation "
-                f"{np.max(np.abs(mat - mat.conj().T)):.3g})"
+                f"operator is not Hermitian within {HERMITICITY_TOL:g} of its "
+                f"largest entry {scale:.3g} (max deviation {skew:.3g})"
             )
         least = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-        if least < -PSD_TOL:
+        if least < -PSD_TOL * scale:
             raise NotPositive(f"operator has negative eigenvalue {least:.3g}")
         mat = mat.copy()
         mat.setflags(write=False)
@@ -298,11 +301,6 @@ def apply_unilocal_kraus(
         dims[party] = a.shape[0]
         out.append(StateTensor(tuple(dims), branch.reshape(-1)))
     return out
-
-
-def ensemble_weight(members: Sequence[StateTensor]) -> float:
-    """Total weight of an ensemble of unnormalized pure states."""
-    return float(sum(squared_norm(m) for m in members))
 
 
 # -- JSON state files: {"label": str, "dims": [int], "amps": [[re, im], ...]} --

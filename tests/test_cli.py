@@ -75,6 +75,13 @@ def test_eval_haar_spec(capsys):
     assert payload["dims"] == [2, 2]
 
 
+def test_invariants_rejects_solver_flags(capsys):
+    # the solver knobs belong to eval and compare only
+    code, _, err = run(capsys, "invariants", "--state", "ghz", "--restarts", "3")
+    assert code == 2
+    assert "--restarts" in err
+
+
 def test_invariants_kempe1(capsys):
     code, out, err = run(capsys, "invariants", "--state", "kempe1")
     assert code == 0

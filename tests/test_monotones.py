@@ -155,6 +155,16 @@ def test_result_contract(w):
     assert d["ranks"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("ks", [(1, 1, 1), (2, 2, 1)])
+def test_certificate_frames_own_their_memory(ks):
+    # (1,1,1) iterates over a stack of starts, (2,2,1) is the closed form;
+    # a view would keep the whole stack (or eigenvector matrix) alive
+    res = solve_E(catalog.resolve_state("haar:2x2x2:1"), ks, FAST)
+    for v in res.certificate.frames:
+        assert v.base is None
+        assert not v.flags.writeable
+
+
 def test_solver_matches_closed_form_when_reducible():
     for i, s in enumerate(random_states((3, 2, 2), 6, seed=30)):
         k0 = 1 + i % 3

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -98,6 +99,19 @@ def test_reduced_density_trace_is_norm():
             assert reduced_density(scaled, keep).trace() == pytest.approx(
                 squared_norm(scaled), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e4, 1e8])
+def test_reduced_density_scales_as_c_squared(c):
+    # the DensityOp checks are relative to the operator's scale, so every
+    # keep set of c psi builds and is c^2 times that of psi
+    s = haar_random_state((2, 2, 2, 2), 1)
+    scaled = StateTensor(s.dims, c * s.amps)
+    for r in range(1, 5):
+        for keep in itertools.combinations(range(4), r):
+            want = c ** 2 * reduced_density(s, keep).matrix
+            got = reduced_density(scaled, keep).matrix
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.max(np.abs(want)))
 
 
 def test_reduced_density_empty_keep(ghz):
