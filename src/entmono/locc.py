@@ -85,9 +85,6 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
     E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j), because party
     i's conditional operator has at most that rank, so the class item holds
     the fixed point of that map; on two blocks this is min(k1, k2) twice.
-    For the same reason a party i with k_i = prod_{j != i} k_j may as well
-    keep its whole space; where that leaves one restricted party out of
-    two, the class item has k_i = d_i, and ``solve_E`` takes the closed form.
     """
     classes: dict[RankItem, int] = {}
     index = []
@@ -95,14 +92,9 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
         g = item.grouping
         if g is not None and g.n_parties != len(dims):
             raise BadGrouping(f"grouping covers {g.n_parties} parties, state has {len(dims)}")
-        ds = dims if g is None else g.block_dims(dims)
-        ks = _check_ranks(ds, item.ranks)
+        ks = _check_ranks(dims if g is None else g.block_dims(dims), item.ranks)
         while (low := tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))) != ks:
             ks = low
-        restricted = [i for i, (k, d) in enumerate(zip(ks, ds)) if k < d]
-        full = [i for i in restricted if ks[i] == prod(ks[:i] + ks[i + 1:])]
-        if len(restricted) == 2 and full:
-            ks = ks[:full[0]] + (ds[full[0]],) + ks[full[0] + 1:]
         index.append(classes.setdefault(RankItem(g, ks), len(classes)))
     return tuple(classes), tuple(index)
 
@@ -112,7 +104,7 @@ def _profile(state: StateTensor, classes: tuple[RankItem, ...], cfg: SolverConfi
     two-block classes of one split read one Schmidt spectrum."""
     spectra = {g: nielsen_E(state, g) for g in dict.fromkeys(
         c.grouping for c in classes if c.grouping is not None and len(c.ranks) == 2)}
-    return [(float(spectra[c.grouping][min(c.ranks) - 1]), None) if c.grouping in spectra
+    return [(float(spectra[c.grouping][c.ranks[0] - 1]), None) if c.grouping in spectra
             else _solve(state, c, cfg) for c in classes]
 
 

@@ -11,7 +11,7 @@ from entmono.locc import (
     default_rank_items,
     slocc_bound,
 )
-from entmono.monotones import MonotoneResult, SolverConfig, coarse_grain, solve_E
+from entmono.monotones import MonotoneResult, SolverConfig
 from entmono.rng import haar_random_state
 from entmono.states import StateTensor, new_state, pure_density
 
@@ -126,30 +126,6 @@ def test_profile_solves_each_rank_class_once(monkeypatch, sa, sb, solves, iterat
     for row in report.rows:
         assert values.setdefault(_rank_class(row.item), (row.e_a, row.e_b)) == (row.e_a, row.e_b)
     assert len(values) == {3: 11, 4: 32}[a.n_parties]
-
-
-def test_unbalanced_rank_classes_take_the_closed_form(monkeypatch):
-    # on 4x2x2 the lowering fixed points (2,1,2) and (2,2,1) have
-    # k_0 = k_1 k_2 < d_0, so they are solved at (4,1,2) and (4,2,1) in
-    # closed form; (1,1,1) is the one iterative fine class per state
-    restricted = []
-    real_solve = locc.solve_E
-
-    def counting_solve(state, ks, cfg):
-        restricted.append(sum(k < d for k, d in zip(ks, state.dims)))
-        return real_solve(state, ks, cfg)
-
-    monkeypatch.setattr(locc, "solve_E", counting_solve)
-    a, b = catalog.resolve_state("haar:4x2x2:1"), catalog.resolve_state("haar:4x2x2:2")
-    tight = SolverConfig(restarts=16, tol=1e-14, seed=3)  # iterative rows to ~1e-14
-    report = compare_dlocc(a, b, cfg=tight)
-    assert sum(r >= 2 for r in restricted) == 2  # the lowering alone leaves 6
-    monkeypatch.setattr(locc, "solve_E", real_solve)
-    for row in report.rows:
-        g = row.item.grouping
-        for state, value in ((a, row.e_a), (b, row.e_b)):
-            target = state if g is None else coarse_grain(state, g)
-            assert abs(value - solve_E(target, row.item.ranks, tight).value) <= 1e-10
 
 
 @pytest.mark.parametrize("c", [1e-4, 1e4])
