@@ -21,6 +21,9 @@ from .locc import compare_dlocc, copy_ratio_feasibility, slocc_bound
 from .monotones import SolverConfig, solve_E
 
 DEFAULT_COPY_INVARIANTS = ("I4_1", "I4_2", "I4_3", "I6")
+SOLVER_FLAGS = ("restarts", "max_iters", "tol", "seed")
+# an imaginary part below this fraction of the value's modulus is not shown
+IMAG_DISPLAY_TOL = 1e-12
 
 
 def _fmt(x: float) -> str:
@@ -31,11 +34,13 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
+def _given(args, flags) -> dict:
+    """The flags set on the command line; the rest keep the library defaults."""
+    return {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+
+
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        restarts=args.restarts, max_iters=args.max_iters, tol=args.tol,
-        seed=args.seed,
-    )
+    return SolverConfig(**_given(args, SOLVER_FLAGS))
 
 
 def cmd_eval(args) -> int:
@@ -100,13 +105,18 @@ def cmd_invariants(args) -> int:
         print(f"tangle = {_fmt(payload['tangle'])}")
     for row in payload.get("defs", []):
         re_, im = row["value"]
+        shown_im = abs(im) > IMAG_DISPLAY_TOL * abs(complex(re_, im))
         suffix = "  (imag_warning)" if row["imag_warning"] else ""
         print(f"defs:{row['line']}  {row['expr']}  = {_fmt(re_)}"
-              + (f" + {_fmt(im)}i" if abs(im) > 1e-12 else "") + suffix)
+              + (f" + {_fmt(im)}i" if shown_im else "") + suffix)
     return 0
 
 
 def cmd_compare(args) -> int:
+    taken = ("cmax",) if args.mode == "copies" else SOLVER_FLAGS
+    for flag in SOLVER_FLAGS + ("cmax",):
+        if flag not in taken and getattr(args, flag) is not None:
+            raise EntmonoError(f"--mode {args.mode} does not take --{flag.replace('_', '-')}")
     a = resolve_state(args.a)
     b = resolve_state(args.b)
     cfg = _solver_config(args)
@@ -135,7 +145,7 @@ def cmd_compare(args) -> int:
             )
     else:
         report = copy_ratio_feasibility(
-            a, b, DEFAULT_COPY_INVARIANTS, cmax=args.cmax
+            a, b, DEFAULT_COPY_INVARIANTS, **_given(args, ("cmax",))
         )
         payload = report.to_dict()
         if not args.json:
@@ -143,7 +153,7 @@ def cmd_compare(args) -> int:
             if pairs:
                 print("feasible (C1,C2):", ", ".join(f"({p[0]},{p[1]})" for p in pairs))
             else:
-                print(f"no feasible (C1,C2) up to ({args.cmax},{args.cmax})")
+                print(f"no feasible (C1,C2) up to ({report.cmax},{report.cmax})")
     if args.json:
         payload["mode"] = args.mode
         payload["a"] = a.label
@@ -161,10 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--restarts", type=int, default=32)
-        p.add_argument("--max-iters", type=int, default=500)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--seed", type=int, default=0)
+        # no defaults here: an unset flag keeps SolverConfig's default
+        p.add_argument("--restarts", type=int)
+        p.add_argument("--max-iters", type=int)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--seed", type=int)
         p.add_argument("--json", action="store_true")
 
     p_eval = sub.add_parser("eval", help="compute one monotone value")
@@ -184,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--a", required=True)
     p_cmp.add_argument("--b", required=True)
     p_cmp.add_argument("--mode", choices=("dlocc", "slocc", "copies"), required=True)
-    p_cmp.add_argument("--cmax", type=int, default=4)
+    p_cmp.add_argument("--cmax", type=int, help="copies mode only")
     add_common(p_cmp)
     p_cmp.set_defaults(fn=cmd_compare)
     return parser

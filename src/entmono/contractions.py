@@ -49,7 +49,7 @@ PSI_CONJ = "psi*"
 DELTA = "delta"
 EPSILON = "eps"
 
-REAL_TOL = 1e-9
+REAL_TOL = 1e-9  # imaginary part, relative to max(|value|, ||psi||^n)
 _EPS_TENSOR = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
 _TOKEN_RE = re.compile(r"\s*(?:([A-Za-z0-9]+)|([\[\],*])|(\S))")
@@ -251,12 +251,11 @@ def _check_dims(expr: ContractionExpr, dims: tuple[int, ...]) -> None:
 def _purification(state) -> np.ndarray:
     """psi[e, i_0, ..., i_{N-1}] with sum_e psi psi^* = the state: one
     environment value for a pure state, psi[e] = sqrt(w_e) v_e for a
-    DensityOp's eigenpairs, negative round-off eigenvalues clipped to 0."""
+    DensityOp's eigenpairs (computed once per operator)."""
     if isinstance(state, StateTensor):
         return state.tensor()[np.newaxis]
     if isinstance(state, DensityOp):
-        w, v = np.linalg.eigh(state.matrix)
-        return (v * np.sqrt(np.clip(w, 0.0, None))).T.reshape((-1,) + state.dims)
+        return state._purification
     raise TypeError(f"expected StateTensor or DensityOp, got {type(state).__name__}")
 
 

@@ -3,6 +3,10 @@
 Every value is a contraction evaluated by ``eval_contraction``: the
 ``BUILTIN_PATTERN_TEXT`` built-ins on pure states and density operators
 alike, and the residual tangle ``TANGLE_TEXT`` with its squared expansion.
+
+An invariant with n psi/psi* factors is homogeneous of degree n in the
+amplitudes, so the property checks below judge it relative to the values
+they compare, or to ||psi||^n where a value may vanish.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .contractions import (
+    PSI,
+    PSI_CONJ,
     REAL_TOL,
     ContractionExpr,
     eval_contraction,
@@ -24,7 +30,10 @@ from .contractions import (
 )
 from .errors import DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
 from .rng import haar_random_unitary, stream_rng
-from .states import DensityOp, StateTensor, apply_local_unitaries, odot
+from .states import DensityOp, StateTensor, apply_local_unitaries, odot, squared_norm
+
+MULTIPLICATIVITY_TOL = 1e-9  # |I(a (.) b) - I(a) I(b)|, relative to the larger
+LU_TOL = 1e-9  # drift under local unitaries, relative to max(|I|, ||psi||^n)
 
 # Built-ins as contractions (party slot = index position).  On a DensityOp
 # they give I4_p = tr r_p^2 and I6 = tr[(r_0 x 1)(r_1 x 1)(r_2 x 1)], with r_p
@@ -139,8 +148,16 @@ class MultiplicativityReport:
         }
 
 
+def _multiplicativity(merged: complex, product: complex) -> tuple[float, float, bool]:
+    """(deviation, relative deviation, passed) of I(a (.) b) against I(a) I(b)."""
+    dev = abs(merged - product)
+    scale = max(abs(merged), abs(product))
+    rel = dev / scale if scale > 0 else 0.0
+    return dev, rel, rel <= MULTIPLICATIVITY_TOL
+
+
 def multiplicativity_check(
-    expr: ContractionExpr, a: StateTensor, b: StateTensor, rel_tol: float = 1e-9
+    expr: ContractionExpr, a: StateTensor, b: StateTensor
 ) -> MultiplicativityReport:
     """Evaluate a simple-form contraction on a, b and the merged state a (.) b
     and compare the merged value against the product."""
@@ -150,10 +167,7 @@ def multiplicativity_check(
     va = eval_contraction(expr, a).value
     vb = eval_contraction(expr, b).value
     vm = eval_contraction(expr, odot(a, b)).value
-    dev = abs(vm - va * vb)
-    scale = max(abs(vm), abs(va * vb))
-    rel = dev / scale if scale > 0 else 0.0
-    return MultiplicativityReport(va, vb, vm, dev, rel, rel <= rel_tol)
+    return MultiplicativityReport(va, vb, vm, *_multiplicativity(vm, va * vb))
 
 
 @dataclass(frozen=True)
@@ -174,14 +188,15 @@ class InvarianceReport:
 
 def local_unitary_invariance_check(
     target, state: StateTensor, trials: int = 20, seed: int = 0,
-    tol: float = 1e-9,
 ) -> InvarianceReport:
     """Evaluate ``target`` on random local-unitary transforms of the state.
 
     ``target`` may be a ContractionExpr, a builtin name ("I6", "tangle"),
-    or any callable StateTensor -> number.
+    or any callable StateTensor -> number.  The largest deviation passes
+    when it is at most ``LU_TOL`` times max(|baseline|, ||psi||^n), n the
+    target's number of psi/psi* factors (0 for a callable).
     """
-    fn = _as_evaluator(target)
+    fn, degree = _as_evaluator(target)
     base = fn(state)
     worst = 0.0
     for trial in range(trials):
@@ -189,18 +204,24 @@ def local_unitary_invariance_check(
         units = [haar_random_unitary(d, rng) for d in state.dims]
         moved = apply_local_unitaries(state, units)
         worst = max(worst, abs(fn(moved) - base))
-    return InvarianceReport(float(np.real(base)), float(worst), trials, worst <= tol)
+    scale = max(abs(base), squared_norm(state) ** (degree / 2))
+    return InvarianceReport(float(np.real(base)), float(worst), trials, worst <= LU_TOL * scale)
 
 
-def _as_evaluator(target) -> Callable[[StateTensor], complex]:
+def _degree(expr: ContractionExpr) -> int:
+    return sum(f.kind in (PSI, PSI_CONJ) for f in expr.factors)
+
+
+def _as_evaluator(target) -> tuple[Callable[[StateTensor], complex], int]:
+    """(evaluator, degree in the amplitudes) of an LU-check target."""
     if isinstance(target, ContractionExpr):
-        return lambda s: eval_contraction(target, s).value
+        return (lambda s: eval_contraction(target, s).value), _degree(target)
     if callable(target):
-        return target
+        return target, 0
     if isinstance(target, str):
         if target == "tangle":
-            return tangle
+            return tangle, _degree(_tangle_expr())
         if target in BUILTIN_PATTERN_TEXT:
-            return lambda s: _builtin_value(target, s)
+            return (lambda s: _builtin_value(target, s)), _degree(_parsed_builtins()[target])
         raise KeyError(f"unknown invariant name {target!r}")
     raise TypeError(f"cannot evaluate target of type {type(target).__name__}")

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .contractions import ContractionExpr, eval_contraction, is_simple_form, parse_contraction
 from .errors import BadGrouping, NotNormalized, NotSimpleForm, StructureMismatch
-from .invariants import BUILTIN_PATTERN_TEXT, builtin_patterns
+from .invariants import BUILTIN_PATTERN_TEXT, _multiplicativity, builtin_patterns
 from .monotones import (
     SolverConfig,
     _check_ranks,
@@ -33,6 +33,9 @@ from .states import PartyGrouping, StateTensor, odot, squared_norm
 
 WITNESS_TOL = 1e-6  # witness margin, relative to the larger squared norm
 COPY_RATIO_RTOL = 1e-8  # relative gap at which two invariant powers differ
+# SLOCC bounds and copy ratios need normalized input, so their checks on
+# the squared norm and on 1 - E are at unit scale
+NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -235,9 +238,9 @@ class SloccRow:
 def _row_bound(e_a: float, e_b: float) -> float | None:
     """p <= (1 - E(a)) / (1 - E(b)) for one rank; None if it does not restrict."""
     num, den = 1.0 - e_a, 1.0 - e_b
-    if den > 1e-9:
+    if den > NORM_TOL:
         return max(num, 0.0) / den
-    return 0.0 if num <= 1e-9 and abs(e_a - e_b) > WITNESS_TOL else None
+    return 0.0 if num <= NORM_TOL and abs(e_a - e_b) > WITNESS_TOL else None
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,7 @@ def slocc_bound(
 
 def _check_normalized(state: StateTensor, name: str) -> None:
     w = squared_norm(state)
-    if abs(w - 1.0) > 1e-9:
+    if abs(w - 1.0) > NORM_TOL:
         raise NotNormalized(f"state {name} has squared norm {w:.12g}, need 1")
 
 
@@ -340,7 +343,7 @@ def copy_ratio_feasibility(
     so C1 collective copies of ``a`` carry value I(a)**C1 exactly; a pair
     is feasible only if those powers agree for every invariant.  A direct
     merged-state evaluation at C1 = C2 = 2 is run as a spot check of the
-    multiplicativity assumption.
+    multiplicativity assumption, judged by ``multiplicativity_check``'s rule.
     """
     if cmax < 1 or cmax > 8:
         raise ValueError(f"cmax must lie in 1..8, got {cmax}")
@@ -357,12 +360,8 @@ def copy_ratio_feasibility(
     va = [eval_contraction(expr, a).value for _, expr in named]
     vb = [eval_contraction(expr, b).value for _, expr in named]
 
-    spot_ok = True
-    for (_, expr), x, y in zip(named, va, vb):
-        for state, value in ((a, x), (b, y)):
-            merged = eval_contraction(expr, odot(state, state)).value
-            if abs(merged - value * value) > 1e-9 * max(1.0, abs(value * value)):
-                spot_ok = False
+    spot = [_multiplicativity(eval_contraction(expr, odot(state, state)).value, value * value)
+            for (_, expr), x, y in zip(named, va, vb) for state, value in ((a, x), (b, y))]
 
     feasible = []
     for c1, c2 in itertools.product(range(1, cmax + 1), repeat=2):
@@ -380,5 +379,5 @@ def copy_ratio_feasibility(
         values_b=tuple(vb),
         cmax=cmax,
         feasible=tuple(feasible),
-        odot_check_passed=spot_ok,
+        odot_check_passed=all(passed for _, _, passed in spot),
     )

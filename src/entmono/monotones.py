@@ -36,7 +36,7 @@ from .states import (
     squared_norm,
 )
 
-FRAME_TOL = 1e-10
+FRAME_TOL = 1e-10  # orthonormality of frame columns, a dimensionless check
 # The solver's thresholds are relative to the state's squared norm, so that
 # E(c psi) = |c|^2 E(psi) holds at every scale: the per-sweep convergence
 # test (SolverConfig.tol), the degenerate-cut gap, the agreement of a start
@@ -45,6 +45,13 @@ FRAME_TOL = 1e-10
 DEGENERACY_TOL = 1e-10
 AGREEMENT_TOL = 1e-8
 ASCENT_SLACK = 1e-12
+# The spectral quantities are relative to the total weight w raised to their
+# degree: S_k is taken as zero below SYMMETRIC_TOL w^k, two weight vectors
+# agree in total within WEIGHT_TOL w, and a partial sum may fall short of the
+# other's by MAJORIZATION_SLACK w.
+SYMMETRIC_TOL = 1e-12
+WEIGHT_TOL = 1e-9
+MAJORIZATION_SLACK = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,8 +343,10 @@ def trace_power_invariants(rho: DensityOp, dmax: int) -> np.ndarray:
 
 def symmetric_monotones(rho: DensityOp, dmax: int) -> tuple[np.ndarray, list]:
     """Elementary symmetric polynomials S_1..S_dmax of the spectrum and the
-    consecutive ratios S_k/S_{k-1} (None where the denominator vanishes)."""
+    consecutive ratios S_k/S_{k-1} (None where the denominator vanishes,
+    that is, falls below SYMMETRIC_TOL tr(rho)^(k-1))."""
     lam = rho.spectrum()
+    weight = rho.trace()
     e = np.zeros(dmax + 1)
     e[0] = 1.0
     for x in lam:
@@ -347,7 +356,8 @@ def symmetric_monotones(rho: DensityOp, dmax: int) -> tuple[np.ndarray, list]:
     ratios: list = []
     for k in range(1, dmax + 1):
         denom = e[k - 1]
-        ratios.append(float(s[k - 1] / denom) if abs(denom) > 1e-12 else None)
+        vanishes = abs(denom) <= SYMMETRIC_TOL * weight ** (k - 1)
+        ratios.append(None if vanishes else float(s[k - 1] / denom))
     return s, ratios
 
 
@@ -358,11 +368,12 @@ def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     n = max(av.size, bv.size)
     av = np.pad(av, (0, n - av.size))
     bv = np.pad(bv, (0, n - bv.size))
-    if abs(av.sum() - bv.sum()) > 1e-9:
+    weight = max(abs(av.sum()), abs(bv.sum()))
+    if abs(av.sum() - bv.sum()) > WEIGHT_TOL * weight:
         raise SumMismatch(
             f"vectors have different total weight ({av.sum():.12g} vs {bv.sum():.12g})"
         )
-    return bool(np.all(np.cumsum(av) >= np.cumsum(bv) - 1e-12))
+    return bool(np.all(np.cumsum(av) >= np.cumsum(bv) - MAJORIZATION_SLACK * weight))
 
 
 def nielsen_E(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:

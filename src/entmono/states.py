@@ -11,6 +11,7 @@ Conventions frozen for the whole package:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from math import prod
@@ -36,7 +37,10 @@ from .errors import (
 # largest entry, so that they hold for c psi at every scale c.
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
+# Unitarity and Kraus completeness compare against the identity, so they
+# are dimensionless.
 UNITARY_TOL = 1e-10
+KRAUS_TOL = 1e-9
 
 
 def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -114,6 +118,15 @@ class DensityOp:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+    @functools.cached_property
+    def _purification(self) -> np.ndarray:
+        """psi[e, i_0, ..., i_{N-1}] = sqrt(w_e) v_e over the eigenpairs, with
+        negative round-off eigenvalues clipped to 0; diagonalized once."""
+        w, v = np.linalg.eigh(self.matrix)
+        amps = (v * np.sqrt(np.clip(w, 0.0, None))).T.reshape((-1,) + self.dims)
+        amps.setflags(write=False)
+        return amps
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in decreasing order, clipped at zero."""
@@ -289,7 +302,7 @@ def apply_unilocal_kraus(
             )
     total = sum(a.conj().T @ a for a in ops)
     slack = np.linalg.eigvalsh(np.eye(d) - total)
-    if slack[0] < -1e-9:
+    if slack[0] < -KRAUS_TOL:
         raise NotTraceNonincreasing(
             f"sum A^dag A exceeds identity by {-float(slack[0]):.3g}"
         )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entmono.cli import main
+from entmono.monotones import SolverConfig
 from entmono.states import save_state
 from entmono.catalog import resolve_state, ghz
 
@@ -133,6 +134,27 @@ def test_compare_copies_kempe(capsys):
     )
     assert code == 0
     assert "no feasible (C1,C2) up to (4,4)" in out
+
+
+@pytest.mark.parametrize("mode,flags", [
+    ("copies", ["--restarts", "3", "--max-iters", "1", "--seed", "9"]),
+    ("slocc", ["--cmax", "7"]),
+    ("dlocc", ["--cmax", "2"]),
+])
+def test_compare_rejects_flags_its_mode_never_reads(capsys, mode, flags):
+    code, out, err = run(capsys, "compare", "--a", "kempe1", "--b", "kempe2",
+                         "--mode", mode, *flags)
+    assert code == 2
+    assert out == ""
+    assert flags[0] in err
+
+
+def test_unset_solver_flags_take_the_solver_config_defaults(capsys):
+    cfg = SolverConfig()
+    explicit = ["--restarts", str(cfg.restarts), "--max-iters", str(cfg.max_iters),
+                "--tol", repr(cfg.tol), "--seed", str(cfg.seed)]
+    args = ["compare", "--a", "w", "--b", "ghz", "--mode", "slocc", "--json"]
+    assert run(capsys, *args) == run(capsys, *args, *explicit)
 
 
 def test_compare_dlocc_self(capsys):

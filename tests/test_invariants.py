@@ -11,6 +11,7 @@ from entmono.contractions import (
     parse_contraction,
 )
 from entmono.errors import DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
+from entmono import invariants
 from entmono.invariants import (
     TANGLE_TEXT,
     builtin_invariants,
@@ -20,6 +21,7 @@ from entmono.invariants import (
     tangle,
     tangle_squared_expanded,
 )
+from entmono.locc import copy_ratio_feasibility
 from entmono.rng import haar_random_state
 from entmono.states import StateTensor, new_state, pure_density
 
@@ -245,3 +247,34 @@ def test_lu_invariance_delta_contracted_expression(ghz):
 def test_lu_invariance_unknown_name(ghz):
     with pytest.raises(KeyError):
         local_unitary_invariance_check("I99", ghz)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e2])
+def test_lu_check_is_judged_at_the_invariants_scale(c):
+    # I6 has degree 6, so its round-off grows as c^6; an absolute 1e-9
+    # failed I6 at c = 100 and could not fail any target at c = 1e-6
+    s = haar_random_state((3, 3, 3), 5)
+    scaled = StateTensor(s.dims, c * s.amps)
+    assert local_unitary_invariance_check("I6", scaled, trials=5, seed=1).passed
+    assert local_unitary_invariance_check("tangle", StateTensor(
+        (2, 2, 2), c * haar_random_state((2, 2, 2), 5).amps), trials=5, seed=1).passed
+    # mixing the slots of parties 0 and 1 breaks the invariance
+    swapped = parse_contraction("psi[i,j,k] * psi*[j,i,k]")
+    assert not local_unitary_invariance_check(swapped, scaled, trials=5, seed=1).passed
+
+
+def test_mixed_operator_is_diagonalized_once(monkeypatch):
+    rho = mixed_op((3, 3, 3), (2, 3), (0.3, 0.7))
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    first = builtin_invariants(rho)
+    assert calls == [(27, 27)]
+    assert builtin_invariants(rho) == first
+    assert calls == [(27, 27)]
+
+
+def test_copy_ratio_spot_check_uses_the_multiplicativity_rule(monkeypatch, kempe1, kempe2):
+    # one rule judges I(a (.) b) against I(a) I(b), at both call sites
+    monkeypatch.setattr(invariants, "MULTIPLICATIVITY_TOL", -1.0)
+    assert not multiplicativity_check(builtin_patterns()["I4_1"], kempe1, kempe1).passed
+    assert not copy_ratio_feasibility(kempe1, kempe2, ("I4_1",)).odot_check_passed

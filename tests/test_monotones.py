@@ -28,6 +28,7 @@ from entmono.states import (
     apply_unilocal_kraus,
     new_state,
     odot,
+    reduced_density,
     schmidt_values,
     squared_norm,
 )
@@ -386,6 +387,28 @@ def test_majorization_counterexample():
 def test_majorization_sum_mismatch():
     with pytest.raises(SumMismatch):
         majorizes([0.5, 0.5], [0.7, 0.2])
+
+
+@pytest.mark.parametrize("c", [1e-14, 1e-8, 1.0, 1e8])
+def test_majorization_is_scale_free(c):
+    # the partial-sum slack is relative to the total weight; an absolute
+    # 1e-12 let either of two tiny vectors "majorize" the other
+    a, b = np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.35, 0.25])
+    assert majorizes(c * a, c * b)
+    assert not majorizes(c * b, c * a)
+    with pytest.raises(SumMismatch):
+        majorizes(c * np.array([0.5, 0.5]), c * np.array([0.7, 0.2]))
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+def test_symmetric_monotones_scale_with_the_weight(c):
+    # S_k is homogeneous of degree k in the spectrum, so the ratio
+    # S_k / S_{k-1} scales as c^2 for the state c psi
+    s = haar_random_state((3, 3, 3), 5)
+    base = symmetric_monotones(reduced_density(s, [0]), 3)[1]
+    scaled = symmetric_monotones(reduced_density(StateTensor(s.dims, c * s.amps), [0]), 3)[1]
+    assert None not in scaled
+    np.testing.assert_allclose(scaled, c ** 2 * np.array(base), rtol=1e-9)
 
 
 def test_nielsen_partial_sums(ghz):
