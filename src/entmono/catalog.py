@@ -81,14 +81,13 @@ def resolve_state(spec: str) -> StateTensor:
     if spec in CATALOG and spec != "haar":
         return CATALOG[spec]()
     if spec == "haar" or spec.startswith("haar:"):
-        parts = spec.split(":")
-        dims = (2, 2, 2)
-        seed = 0
-        if len(parts) >= 2 and parts[1]:
-            dims = tuple(int(d) for d in parts[1].split("x"))
-        if len(parts) >= 3 and parts[2]:
-            seed = int(parts[2])
-        if len(parts) > 3:
+        parts = spec.split(":") + ["", ""]
+        try:
+            dims = tuple(int(d) for d in parts[1].split("x")) if parts[1] else (2, 2, 2)
+            seed = int(parts[2]) if parts[2] else 0
+        except ValueError:
+            seed = -1  # a non-integer field is as bad a spec as a negative seed
+        if len(parts) > 5 or seed < 0:
             raise KeyError(f"bad haar spec {spec!r}; use haar:2x2x2:7")
         return haar(dims, seed)
     if os.path.exists(spec):

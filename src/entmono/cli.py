@@ -15,7 +15,7 @@ import sys
 
 from .catalog import resolve_state
 from .contractions import eval_contraction, parse_contraction
-from .errors import EntmonoError
+from .errors import BadRank, EntmonoError
 from .invariants import builtin_invariants, tangle
 from .locc import compare_dlocc, copy_ratio_feasibility, slocc_bound
 from .monotones import SolverConfig, solve_E
@@ -45,7 +45,10 @@ def _solver_config(args) -> SolverConfig:
 
 def cmd_eval(args) -> int:
     state = resolve_state(args.state)
-    ks = tuple(int(k) for k in args.ranks.split(","))
+    try:
+        ks = tuple(int(k) for k in args.ranks.split(","))
+    except ValueError:
+        raise BadRank(f"--ranks takes comma-separated integers, got {args.ranks!r}") from None
     result = solve_E(state, ks, _solver_config(args))
     if args.json:
         payload = result.to_dict()

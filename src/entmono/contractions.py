@@ -52,7 +52,9 @@ EPSILON = "eps"
 REAL_TOL = 1e-9  # imaginary part, relative to max(|value|, ||psi||^n)
 _EPS_TENSOR = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 
-_TOKEN_RE = re.compile(r"\s*(?:([A-Za-z0-9]+)|([\[\],*])|(\S))")
+# a factor head, then all up to the next bracket: the indices and any ']'
+_FACTOR_RE = re.compile(r"\s*(psi(?:\s*\*)?|delta|eps)\s*\[([^\[\]]*)(\]?)\s*")
+_INDEX_RE = re.compile(r"\s*[A-Za-z0-9]+\s*")
 
 
 @dataclass(frozen=True)
@@ -76,84 +78,36 @@ def format_contraction(expr: ContractionExpr) -> str:
     return " * ".join(f"{f.kind}[{','.join(f.indices)}]" for f in expr.factors)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:  # only trailing whitespace left
-            break
-        if m.group(1) is not None:
-            tokens.append(("ident", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("sym", m.group(2), m.start(2)))
-        else:
-            raise ContractionSyntaxError(
-                f"unexpected character {m.group(3)!r} at position {m.start(3)}"
-            )
+def _syntax_error(text: str, at: int, expected: str) -> ContractionSyntaxError:
+    got = repr(text[at:at + 8]) if at < len(text) else "end of input"
+    return ContractionSyntaxError(f"expected {expected} at position {at}, got {got}")
+
+
+def _parse_factors(text: str) -> list[Factor]:
+    """One factor per step, each followed by ``*`` or the end of the input."""
+    factors, pos = [], 0
+    while True:
+        m = _FACTOR_RE.match(text, pos)
+        if m is None:
+            at = len(text) - len(text[pos:].lstrip())
+            raise _syntax_error(text, at, "psi, psi*, delta or eps")
+        head, body, close = m.groups()
+        indices, at = body.split(","), m.start(2)
+        for ix in indices:
+            if not _INDEX_RE.fullmatch(ix):
+                at += len(ix) - len(ix.lstrip())
+                raise ContractionSyntaxError(f"bad index name {ix.strip()!r} at position {at}")
+            at += len(ix) + 1
+        if not close:
+            raise _syntax_error(text, m.end(2), "']'")
+        kind = PSI_CONJ if head.endswith("*") else head
+        factors.append(Factor(kind, tuple(ix.strip() for ix in indices)))
         pos = m.end()
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.at = 0
-
-    def _peek(self):
-        return self.tokens[self.at] if self.at < len(self.tokens) else None
-
-    def _next(self, expect_sym: str | None = None):
-        tok = self._peek()
-        if tok is None:
-            raise ContractionSyntaxError(
-                f"unexpected end of input at position {len(self.text)}"
-            )
-        if expect_sym is not None and (tok[0] != "sym" or tok[1] != expect_sym):
-            raise ContractionSyntaxError(
-                f"expected {expect_sym!r} at position {tok[2]}, got {tok[1]!r}"
-            )
-        self.at += 1
-        return tok
-
-    def factor(self) -> Factor:
-        tok = self._next()
-        if tok[0] != "ident" or tok[1] not in (PSI, DELTA, EPSILON):
-            raise ContractionSyntaxError(
-                f"expected psi, psi*, delta or eps at position {tok[2]}, got {tok[1]!r}"
-            )
-        kind = tok[1]
-        nxt = self._peek()
-        if kind == PSI and nxt is not None and nxt[:2] == ("sym", "*"):
-            self._next()
-            kind = PSI_CONJ
-        self._next("[")
-        indices = [self._ident()]
-        while True:
-            nxt = self._peek()
-            if nxt is not None and nxt[:2] == ("sym", ","):
-                self._next()
-                indices.append(self._ident())
-            else:
-                break
-        self._next("]")
-        return Factor(kind, tuple(indices))
-
-    def _ident(self) -> str:
-        tok = self._next()
-        if tok[0] != "ident":
-            raise ContractionSyntaxError(
-                f"expected an index name at position {tok[2]}, got {tok[1]!r}"
-            )
-        return tok[1]
-
-    def expr(self) -> list[Factor]:
-        factors = [self.factor()]
-        while self._peek() is not None:
-            self._next("*")
-            factors.append(self.factor())
-        return factors
+        if pos == len(text):
+            return factors
+        if text[pos] != "*":
+            raise _syntax_error(text, pos, "'*'")
+        pos += 1
 
 
 def parse_contraction(text: str) -> ContractionExpr:
@@ -164,7 +118,7 @@ def parse_contraction(text: str) -> ContractionExpr:
     (DegreeImbalanceWarning), since such contractions are generally not
     full-unitary-group invariants.
     """
-    factors = _Parser(text).expr()
+    factors = _parse_factors(text)
 
     slot_count = 0
     for f in factors:
@@ -353,45 +307,24 @@ def is_simple_form(expr: ContractionExpr) -> tuple[bool, str | None]:
     and the joined indices sit at the same party slot.  Returns (ok,
     first violation or None).
     """
-    # where does each index occur? (factor kind, party slot or None)
-    sites: dict[str, list[tuple[str, int | None]]] = {}
-    for f in expr.factors:
-        for slot, ix in enumerate(f.indices):
-            party = slot if f.kind in (PSI, PSI_CONJ) else None
-            sites.setdefault(ix, []).append((f.kind, party))
-
+    # each index's (kind, party slot) sites; only eps returns before the joins
+    sites: dict[str, list[tuple[str, int]]] = {}
     for f in expr.factors:
         if f.kind == EPSILON:
             return False, f"factor eps[{','.join(f.indices)}] is not a delta contraction"
-
-    def psi_site(ix: str) -> tuple[str, int | None] | None:
-        for kind, party in sites[ix]:
-            if kind in (PSI, PSI_CONJ):
-                return kind, party
-        return None
-
-    for f in expr.factors:
-        if f.kind == DELTA:
-            a, b = f.indices
-            sa, sb = psi_site(a), psi_site(b)
-            if sa is None or sb is None:
-                return False, (
-                    f"delta[{a},{b}] does not join psi-type indices directly"
-                )
-            if {sa[0], sb[0]} != {PSI, PSI_CONJ}:
-                return False, f"delta[{a},{b}] does not join a psi index to a psi* index"
-            if sa[1] != sb[1]:
-                return False, (
-                    f"delta[{a},{b}] joins party slot {sa[1]} to slot {sb[1]}"
-                )
-
-    for ix, occ in sites.items():
-        kinds = [k for k, _ in occ]
-        if DELTA in kinds:
-            continue  # handled above
-        (ka, pa), (kb, pb) = occ
-        if {ka, kb} != {PSI, PSI_CONJ}:
-            return False, f"index {ix!r} joins {ka} to {kb}, need psi with psi*"
-        if pa != pb:
-            return False, f"index {ix!r} sits at party slot {pa} and slot {pb}"
+        for slot, ix in enumerate(f.indices):
+            sites.setdefault(ix, []).append((f.kind, slot))
+    psi_site = {ix: next((s for s in occ if s[0] != DELTA), None) for ix, occ in sites.items()}
+    # a delta joins the psi-type sites of its two indices, any other index its own two
+    joins = [(f"delta[{a},{b}]", psi_site[a], psi_site[b])
+             for a, b in (f.indices for f in expr.factors if f.kind == DELTA)]
+    joins += [(f"index {ix!r}", *occ) for ix, occ in sites.items()
+              if all(kind != DELTA for kind, _ in occ)]
+    for name, sa, sb in joins:
+        if sa is None or sb is None:
+            return False, f"{name} does not reach psi-type factors directly"
+        if {sa[0], sb[0]} != {PSI, PSI_CONJ}:
+            return False, f"{name} joins {sa[0]} to {sb[0]}, need psi with psi*"
+        if sa[1] != sb[1]:
+            return False, f"{name} joins party slot {sa[1]} to slot {sb[1]}"
     return True, None

@@ -9,6 +9,10 @@ class EntmonoError(ValueError):
     pass
 
 
+class BadParameter(EntmonoError):
+    """A numeric setting (restarts, tol, seed, samples, cmax) out of range."""
+
+
 # -- state / operator construction and party bookkeeping --
 
 class LengthMismatch(EntmonoError):

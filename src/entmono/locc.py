@@ -18,7 +18,7 @@ from math import prod
 from typing import Sequence
 
 from .contractions import ContractionExpr, eval_contraction, is_simple_form, parse_contraction
-from .errors import BadGrouping, NotNormalized, NotSimpleForm, StructureMismatch
+from .errors import BadGrouping, BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
 from .invariants import BUILTIN_PATTERN_TEXT, _multiplicativity, builtin_patterns
 from .monotones import (
     SolverConfig,
@@ -346,12 +346,12 @@ def copy_ratio_feasibility(
     multiplicativity assumption, judged by ``multiplicativity_check``'s rule.
     """
     if cmax < 1 or cmax > 8:
-        raise ValueError(f"cmax must lie in 1..8, got {cmax}")
+        raise BadParameter(f"cmax must lie in 1..8, got {cmax}")
     _check_normalized(a, "a")
     _check_normalized(b, "b")
     named = [_resolve_invariant(s) for s in invariants]
     if not named:
-        raise ValueError("need at least one invariant")
+        raise BadParameter("need at least one invariant")
     for name, expr in named:
         ok, why = is_simple_form(expr)
         if not ok:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     BadGrouping,
+    BadParameter,
     BadRank,
     DimensionMismatch,
     NonUnitary,
@@ -32,6 +33,7 @@ from .states import (
     DensityOp,
     PartyGrouping,
     StateTensor,
+    _reduced_operator,
     schmidt_values,
     squared_norm,
 )
@@ -93,8 +95,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or not self.tol > 0:
-            raise ValueError("need restarts >= 1, max_iters >= 1, tol > 0")
+        if self.restarts < 1 or self.max_iters < 1 or not self.tol > 0 or self.seed < 0:
+            raise BadParameter("need restarts >= 1, max_iters >= 1, tol > 0, seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -198,12 +200,6 @@ def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):
     return frames, top, np.abs(w[..., d - k] - w[..., d - k - 1]) <= gap_tol
 
 
-def _marginal(t: np.ndarray, p: int) -> np.ndarray:
-    """Single-party reduced operator X X^dag of an (unnormalized) state tensor."""
-    x = np.moveaxis(t, p, 0).reshape(t.shape[p], -1)
-    return x @ x.conj().T
-
-
 def _identity_frame(d: int, k: int) -> np.ndarray:
     return np.eye(d, dtype=complex)[:, :k]
 
@@ -221,7 +217,7 @@ def _exact_bipartite_reducible(
     else:
         p = restricted[0]
         frames[p], value, degenerate = _top_eigvecs(
-            _marginal(state.tensor(), p), ks[p], DEGENERACY_TOL * norm2)
+            _reduced_operator(state.tensor(), (p,)), ks[p], DEGENERACY_TOL * norm2)
     return MonotoneResult(
         value=float(value),
         ranks=ks,
@@ -240,7 +236,7 @@ def _starts(state: StateTensor, ks: tuple[int, ...], cfg: SolverConfig) -> list[
     ``stream_rng(cfg.seed, r)``, one frame per party in party order.
     """
     t = state.tensor()
-    spectral = [_top_eigvecs(_marginal(t, p), k, 0.0)[0] for p, k in enumerate(ks)]
+    spectral = [_top_eigvecs(_reduced_operator(t, (p,)), k, 0.0)[0] for p, k in enumerate(ks)]
     draws = []
     for r in range(cfg.restarts):
         rng = stream_rng(cfg.seed, r)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BadParameter, ShapeMismatch
 from .monotones import _check_ranks
 from .rng import haar_random_frame, stream_rng
 from .states import StateTensor
@@ -22,7 +22,7 @@ def sample_E(state: StateTensor, ks: Sequence[int], samples: int, seed: int = 0)
     """Monte-Carlo lower bound: best objective over Haar-random frames."""
     ks = _check_ranks(state.dims, ks)
     if samples < 1:
-        raise ValueError("need at least one sample")
+        raise BadParameter("need at least one sample")
     rng = stream_rng(seed)
     # psi[a,b,..] * conj(V0)[s,a,i] * conj(V1)[s,b,j] * .. -> red[s,i,j,..]
     n = len(ks)

@@ -43,6 +43,22 @@ UNITARY_TOL = 1e-10
 KRAUS_TOL = 1e-9
 
 
+def _spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Least eigenvalue of m's Hermitian part, and all of them in
+    decreasing order clipped at zero."""
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return float(w[0]), np.maximum(w[::-1], 0.0)
+
+
+def _reduced_operator(t: np.ndarray, keep: Sequence[int],
+                      rest: Sequence[int] | None = None) -> np.ndarray:
+    """X X^dag for X the tensor with the ``keep`` axes as rows and the
+    ``rest`` axes (by default the others, ascending) as columns."""
+    rest = [p for p in range(t.ndim) if p not in keep] if rest is None else rest
+    x = t.transpose(tuple(keep) + tuple(rest)).reshape(prod(t.shape[p] for p in keep), -1)
+    return x @ x.conj().T
+
+
 def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out or any(d < 1 for d in out):
@@ -104,13 +120,15 @@ class DensityOp:
                 f"operator is not Hermitian within {HERMITICITY_TOL:g} of its "
                 f"largest entry {scale:.3g} (max deviation {skew:.3g})"
             )
-        least = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
+        least, spectrum = _spectrum(mat)
         if least < -PSD_TOL * scale:
             raise NotPositive(f"operator has negative eigenvalue {least:.3g}")
         mat = mat.copy()
         mat.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_eigenvalues", spectrum)
 
     @property
     def n_parties(self) -> int:
@@ -129,9 +147,9 @@ class DensityOp:
         return amps
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues in decreasing order, clipped at zero."""
-        w = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
-        return np.maximum(w[::-1], 0.0)
+        """Eigenvalues in decreasing order, clipped at zero (read-only; those
+        of the positivity check)."""
+        return self._eigenvalues
 
 
 @dataclass(frozen=True)
@@ -196,11 +214,8 @@ def reduced_density(state: StateTensor, keep: Iterable[int]) -> DensityOp:
     keep_t = _check_parties(keep, state.n_parties, "keep set")
     if not keep_t:
         raise EmptyKeepSet("keep set must contain at least one party")
-    rest = tuple(p for p in range(state.n_parties) if p not in keep_t)
-    t = state.tensor().transpose(keep_t + rest)
-    d_keep = prod(state.dims[p] for p in keep_t)
-    m = t.reshape(d_keep, -1)
-    return DensityOp(tuple(state.dims[p] for p in keep_t), m @ m.conj().T)
+    m = _reduced_operator(state.tensor(), keep_t)
+    return DensityOp(tuple(state.dims[p] for p in keep_t), m)
 
 
 def partial_trace(op: DensityOp, traced: Iterable[int]) -> DensityOp:
@@ -254,10 +269,7 @@ def schmidt_values(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
         raise BadGrouping(
             f"grouping covers {grouping.n_parties} parties, state has {state.n_parties}"
         )
-    first, rest = grouping.blocks
-    x = state.tensor().transpose(first + rest).reshape(prod(state.dims[p] for p in first), -1)
-    m = x @ x.conj().T
-    return np.maximum(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[::-1], 0.0)
+    return _spectrum(_reduced_operator(state.tensor(), *grouping.blocks))[1]
 
 
 def apply_local_unitaries(state: StateTensor, units: Sequence[np.ndarray]) -> StateTensor:

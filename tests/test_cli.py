@@ -149,6 +149,21 @@ def test_compare_rejects_flags_its_mode_never_reads(capsys, mode, flags):
     assert flags[0] in err
 
 
+@pytest.mark.parametrize("argv", [
+    "eval --state w --ranks 1,1,1 --restarts 0",
+    "compare --a w --b ghz --mode dlocc --max-iters 0",
+    "eval --state w --ranks 1,1,1 --seed -1",
+    "compare --a kempe1 --b kempe2 --mode copies --cmax 9",
+    "eval --state w --ranks 1,,1",
+    "eval --state haar:2xq:1 --ranks 1,1",
+])
+def test_out_of_range_input_is_a_typed_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_unset_solver_flags_take_the_solver_config_defaults(capsys):
     cfg = SolverConfig()
     explicit = ["--restarts", str(cfg.restarts), "--max-iters", str(cfg.max_iters),

@@ -69,6 +69,30 @@ def test_parse_syntax_errors_carry_position():
         parse_contraction("gamma[i,i]")
 
 
+@pytest.mark.parametrize("text, factors", [
+    ("psi[i] * psi *[i]", [("psi", ("i",)), ("psi*", ("i",))]),
+    ("psi[1,07] * psi*[1,07]", [("psi", ("1", "07")), ("psi*", ("1", "07"))]),
+    ("\tpsi[i,\nj]\n*\tpsi\n*\t[i , j]\n", [("psi", ("i", "j")), ("psi*", ("i", "j"))]),
+])
+def test_parse_accepts_edge_spellings(text, factors):
+    expr = parse_contraction(text)
+    assert [(f.kind, f.indices) for f in expr.factors] == factors
+
+
+@pytest.mark.parametrize("text, position", [
+    ("psi[]", 4),  # empty index list: the missing index
+    ("psi[i,,j]", 6),  # empty index
+    ("psi[i]]", 6),  # stray bracket where '*' or the end is due
+    ("psi2[i]", 0),  # malformed factor head
+    ("epsilon[i,j]", 0),
+    ("psi[i,j", 7),  # unclosed bracket: the input length
+    ("psi[i] psi*[i]", 7),  # two factors with no '*' between them
+])
+def test_parse_rejects_with_position(text, position):
+    with pytest.raises(ContractionSyntaxError, match=f"position {position}\\b"):
+        parse_contraction(text)
+
+
 def test_parse_conj_marker_binds_to_psi_only():
     with pytest.raises(ContractionSyntaxError):
         parse_contraction("delta*[i,i]")
@@ -203,6 +227,18 @@ def test_simple_form_rejects_delta_to_delta():
     ok, why = is_simple_form(expr)
     assert not ok
     assert "delta" in why
+
+
+@pytest.mark.parametrize("text, culprit, rule", [
+    ("psi[i,j] * psi*[m,j] * psi[k,n] * psi*[q,n] * delta[i,k] * delta[m,q]",
+     "delta[i,k]", "psi*"),  # a delta joining psi to psi
+    ("psi[i,j] * psi*[m,n] * delta[i,n] * delta[j,m]", "delta[i,n]", "slot"),
+    ("psi[i,j,k] * psi*[i,k,j]", "index 'j'", "slot"),
+])
+def test_simple_form_names_the_first_broken_rule(text, culprit, rule):
+    ok, why = is_simple_form(parse_contraction(text))
+    assert not ok
+    assert why.startswith(culprit) and rule in why
 
 
 def test_delta_joined_pair_is_invariant_value(ghz):
