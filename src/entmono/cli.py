@@ -81,8 +81,11 @@ def cmd_invariants(args) -> int:
                 text = line.split("#", 1)[0].strip()
                 if not text:
                     continue
-                expr = parse_contraction(text)
-                val = eval_contraction(expr, state)
+                try:
+                    expr = parse_contraction(text)
+                    val = eval_contraction(expr, state)
+                except EntmonoError as exc:
+                    raise type(exc)(f"line {lineno}: {exc.args[0]}") from None
                 rows.append(
                     {
                         "line": lineno,

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import prod
 from typing import Sequence
+
+import numpy as np
 
 from .contractions import ContractionExpr, eval_contraction, is_simple_form, parse_contraction
 from .errors import BadGrouping, BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
@@ -127,23 +129,55 @@ class ComparisonRow:
         return {"rank": self.item.key(), "E_a": self.e_a, "E_b": self.e_b}
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Rank items with the (E_a, E_b) row and the (a -> b, b -> a) witness
-    flags of their rank classes; ``index`` maps each item to its class."""
+def _pair_array(pairs, dtype) -> np.ndarray:
+    a = np.array(pairs, dtype=dtype).reshape(-1, 2)
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _ClassRows:
+    """Rank items and the rank class of each; a subclass adds per-class
+    rows as read-only (classes, 2) arrays, one small buffer per report
+    rather than a Python float or bool per entry.  Reports are equal, and
+    hash alike, when their items, index and array bytes are."""
 
     items: tuple[RankItem, ...]
     index: tuple[int, ...]
-    values: tuple[tuple[float, float], ...]
-    blocked: tuple[tuple[bool, bool], ...]
+
+    def _key(self) -> tuple:
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self)))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class ComparisonReport(_ClassRows):
+    """Rank items with the (E_a, E_b) row and the (a -> b, b -> a) witness
+    flags of their rank classes; ``index`` maps each item to its class."""
+
+    values: np.ndarray  # (classes, 2) float64
+    blocked: np.ndarray  # (classes, 2) bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _pair_array(self.values, float))
+        object.__setattr__(self, "blocked", _pair_array(self.blocked, bool))
 
     @property
     def rows(self) -> tuple[ComparisonRow, ...]:
-        return tuple(ComparisonRow(item, *self.values[c]) for item, c in zip(self.items, self.index))
+        values = self.values.tolist()
+        return tuple(ComparisonRow(item, *values[c]) for item, c in zip(self.items, self.index))
 
     def _blocked(self, side: int) -> tuple[str, ...]:
-        return tuple(item.key() for item, c in zip(self.items, self.index)
-                     if self.blocked[c][side])
+        blocked = self.blocked[:, side].tolist()
+        return tuple(item.key() for item, c in zip(self.items, self.index) if blocked[c])
 
     a_to_b_blocked = property(lambda self: self._blocked(0))
     b_to_a_blocked = property(lambda self: self._blocked(1))
@@ -204,7 +238,7 @@ def compare_dlocc(
         values.append((e_a, e_b))
         blocked.append((e_b < e_a - tol and _trusted(res_b, cfg_b),
                         e_a < e_b - tol and _trusted(res_a, cfg_a)))
-    return ComparisonReport(items, index, tuple(values), tuple(blocked))
+    return ComparisonReport(items, index, values, blocked)
 
 
 def _trusted(res, cfg: SolverConfig) -> bool:
@@ -243,24 +277,26 @@ def _row_bound(e_a: float, e_b: float) -> float | None:
     return 0.0 if num <= NORM_TOL and abs(e_a - e_b) > WITNESS_TOL else None
 
 
-@dataclass(frozen=True)
-class SloccReport:
+@dataclass(frozen=True, eq=False)
+class SloccReport(_ClassRows):
     """Rank items with the (E_a, E_b) row of their rank classes; ``index``
     maps each item to its class, and the bounds are derived on access."""
 
-    items: tuple[RankItem, ...]
-    index: tuple[int, ...]
-    values: tuple[tuple[float, float], ...]
+    values: np.ndarray  # (classes, 2) float64
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _pair_array(self.values, float))
 
     @property
     def rows(self) -> tuple[SloccRow, ...]:
-        return tuple(SloccRow(item, *self.values[c], _row_bound(*self.values[c]))
+        values = self.values.tolist()
+        return tuple(SloccRow(item, *values[c], _row_bound(*values[c]))
                      for item, c in zip(self.items, self.index))
 
     @property
     def overall(self) -> float | None:
         """The minimum of the constrained row bounds, clamped to [0, 1]."""
-        bounds = [b for b in itertools.starmap(_row_bound, self.values) if b is not None]
+        bounds = [b for b in itertools.starmap(_row_bound, self.values.tolist()) if b is not None]
         return max(min(min(bounds), 1.0), 0.0) if bounds else None
 
     def to_dict(self) -> dict:
@@ -290,8 +326,8 @@ def slocc_bound(
     cfg = cfg or SolverConfig()
     items = _items_for(a, rank_items)
     classes, index = _rank_classes(items, a.dims)
-    values = tuple((e_a, e_b) for (e_a, _), (e_b, _)
-                   in zip(_profile(a, classes, cfg), _profile(b, classes, cfg)))
+    values = [(e_a, e_b) for (e_a, _), (e_b, _)
+              in zip(_profile(a, classes, cfg), _profile(b, classes, cfg))]
     return SloccReport(items, index, values)
 
 

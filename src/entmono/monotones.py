@@ -28,7 +28,7 @@ from .errors import (
     NonUnitary,
     SumMismatch,
 )
-from .rng import haar_random_frame, stream_rng
+from .rng import _haar_frames, stream_rng
 from .states import (
     DensityOp,
     PartyGrouping,
@@ -95,8 +95,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iters < 1 or not self.tol > 0 or self.seed < 0:
-            raise BadParameter("need restarts >= 1, max_iters >= 1, tol > 0, seed >= 0")
+        # tol bounds a per-sweep gain relative to the squared norm, which
+        # never reaches 1, so tol >= 1 would stop every start after one sweep
+        if self.restarts < 1 or self.max_iters < 1 or not 0 < self.tol < 1 or self.seed < 0:
+            raise BadParameter("need restarts >= 1, max_iters >= 1, 0 < tol < 1, seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -232,16 +234,18 @@ def _starts(state: StateTensor, ks: tuple[int, ...], cfg: SolverConfig) -> list[
     """Per party, the (restarts + 1, d, k) stack of start frames.
 
     Start 0 is the deterministic spectral start (leading eigenvectors of
-    each single-party marginal); start r + 1 is drawn from
-    ``stream_rng(cfg.seed, r)``, one frame per party in party order.
+    each single-party marginal); start r + 1 is read from one row of
+    standard normals drawn from ``stream_rng(cfg.seed, r)``, which holds
+    the frames ``haar_random_frame`` would draw from that stream, one per
+    party in party order.  Each party's frames come from one stacked QR.
     """
     t = state.tensor()
+    width = 2 * sum(d * k for d, k in zip(state.dims, ks))
+    normals = np.stack([stream_rng(cfg.seed, r).standard_normal(width)
+                        for r in range(cfg.restarts)])
     spectral = [_top_eigvecs(_reduced_operator(t, (p,)), k, 0.0)[0] for p, k in enumerate(ks)]
-    draws = []
-    for r in range(cfg.restarts):
-        rng = stream_rng(cfg.seed, r)
-        draws.append([haar_random_frame(d, k, rng) for d, k in zip(state.dims, ks)])
-    return [np.stack([spectral[p]] + [draw[p] for draw in draws]) for p in range(len(ks))]
+    return [np.concatenate([s[None], f])
+            for s, f in zip(spectral, _haar_frames(normals, state.dims, ks))]
 
 
 def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = None) -> MonotoneResult:

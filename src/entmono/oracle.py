@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import BadParameter, ShapeMismatch
 from .monotones import _check_ranks
-from .rng import haar_random_frame, stream_rng
+from .rng import _haar_frames, stream_rng
 from .states import StateTensor
 
 _BLOCK = 256  # samples evaluated per einsum in sample_E
@@ -29,14 +29,15 @@ def sample_E(state: StateTensor, ks: Sequence[int], samples: int, seed: int = 0)
     psi_ix = "".join(chr(ord("a") + p) for p in range(n))
     red_ix = "".join(chr(ord("A") + p) for p in range(n))
     subscripts = ",".join([psi_ix] + [f"s{psi_ix[p]}{red_ix[p]}" for p in range(n)])
+    width = 2 * sum(d * k for d, k in zip(state.dims, ks))
     best = 0.0
-    # in blocks of draws, so memory stays bounded at any sample count
+    # in blocks of draws, so memory stays bounded at any sample count; a
+    # block's samples take one row of normals each, in draw order
     for start in range(0, samples, _BLOCK):
-        draws = [[haar_random_frame(d, k, rng) for d, k in zip(state.dims, ks)]
-                 for _ in range(min(_BLOCK, samples - start))]
-        frames = [np.stack([draw[p] for draw in draws]).conj() for p in range(n)]
+        m = min(_BLOCK, samples - start)
+        frames = [f.conj() for f in _haar_frames(rng.standard_normal((m, width)), state.dims, ks)]
         red = np.einsum(f"{subscripts}->s{red_ix}", state.tensor(), *frames, optimize=True)
-        weights = (red.real ** 2 + red.imag ** 2).reshape(len(draws), -1).sum(axis=1)
+        weights = (red.real ** 2 + red.imag ** 2).reshape(m, -1).sum(axis=1)
         best = max(best, float(weights.max()))
     return best
 

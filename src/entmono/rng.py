@@ -27,6 +27,30 @@ def _rng_of(seed) -> np.random.Generator:
     return stream_rng(int(seed))
 
 
+def _haar_frames(normals: np.ndarray, dims: Sequence[int], ks: Sequence[int]) -> list[np.ndarray]:
+    """Per party, the (m, d, k) Haar frames read from an (m, 2 sum d k)
+    array of standard normals.
+
+    Each row is read in party order, d k real parts and then d k imaginary
+    parts: the order in which ``haar_random_frame`` calls for those parties
+    draw from one generator.  Each party's m Gaussian matrices go through
+    one stacked QR, which runs the same LAPACK routine on every matrix, so
+    row i holds, byte for byte, the frames those calls return.
+    """
+    frames, at = [], 0
+    for d, k in zip(dims, ks):
+        n = d * k
+        z = normals[:, at:at + n] + 1j * normals[:, at + n:at + 2 * n]
+        at += 2 * n
+        q, r = np.linalg.qr(z.reshape(-1, d, k))
+        # R's diagonal phases moved into Q, so that LAPACK's sign convention
+        # does not bias the distribution (Mezzadri, Notices AMS 54, 2007)
+        ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
+        ph[np.abs(ph) == 0] = 1.0
+        frames.append(q * (ph / np.abs(ph))[..., None, :])
+    return frames
+
+
 def haar_random_frame(d: int, k: int, seed) -> np.ndarray:
     """d x k matrix with orthonormal columns, Haar-uniform on the Stiefel manifold.
 
@@ -35,12 +59,7 @@ def haar_random_frame(d: int, k: int, seed) -> np.ndarray:
     if k < 1 or k > d:
         raise BadRank(f"frame rank {k} must lie in 1..{d}")
     rng = _rng_of(seed)
-    z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-    q, r = np.linalg.qr(z)
-    ph = np.diagonal(r).copy()
-    zero = np.abs(ph) == 0
-    ph[zero] = 1.0
-    return q * (ph / np.abs(ph))
+    return _haar_frames(rng.standard_normal((1, 2 * d * k)), (d,), (k,))[0][0]
 
 
 def haar_random_unitary(d: int, seed) -> np.ndarray:

@@ -119,6 +119,16 @@ def test_invariants_defs_evaluated(tmp_path, capsys):
     assert payload["defs"][0]["value"][0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_invariants_defs_error_names_its_line(tmp_path, capsys):
+    defs = tmp_path / "my.inv"
+    defs.write_text("# norm squared\npsi[i,j,k] * psi*[i,j,k]\npsi[i,j,k] * psi*[i,j,k] * \n")
+    code, out, err = run(capsys, "invariants", "--state", "w", "--defs", str(defs))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3: ")
+    assert "Traceback" not in err
+
+
 def test_compare_slocc_w_ghz(capsys):
     code, out, err = run(
         capsys, "compare", "--a", "w", "--b", "ghz", "--mode", "slocc",
@@ -156,6 +166,7 @@ def test_compare_rejects_flags_its_mode_never_reads(capsys, mode, flags):
     "compare --a kempe1 --b kempe2 --mode copies --cmax 9",
     "eval --state w --ranks 1,,1",
     "eval --state haar:2xq:1 --ranks 1,1",
+    "eval --state w --ranks 1,1,1 --tol inf",
 ])
 def test_out_of_range_input_is_a_typed_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from entmono import catalog, locc
@@ -161,6 +162,20 @@ def test_reports_compare_and_hash_by_rows(w, ghz):
     assert any(r.bound is None for r in one.rows)
     assert one == two and hash(one) == hash(two)
     assert one != slocc_bound(ghz, w, cfg=fast)
+
+
+def test_report_rows_are_read_only_arrays(w, ghz):
+    fast = SolverConfig(restarts=2, seed=3)
+    dlocc, slocc = compare_dlocc(w, ghz, cfg=fast), slocc_bound(w, ghz, cfg=fast)
+    classes = max(dlocc.index) + 1
+    for rows, dtype in ((dlocc.values, np.float64), (dlocc.blocked, np.bool_),
+                        (slocc.values, np.float64)):
+        assert rows.dtype == dtype and rows.shape == (classes, 2)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = rows[0, 1]
+    # the derived rows read plain Python numbers out of the arrays
+    assert all(type(x) is float for r in dlocc.rows for x in (r.e_a, r.e_b))
 
 
 def test_slocc_w_to_ghz(w, ghz):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from entmono import catalog
-from entmono.errors import BadGrouping, BadRank, DimensionMismatch, SumMismatch
+from entmono.errors import BadGrouping, BadParameter, BadRank, DimensionMismatch, SumMismatch
 from entmono.monotones import (
+    _starts,
     E_ensemble,
     MonotoneResult,
     ProjectorFrame,
@@ -252,6 +253,35 @@ def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
     assert res.converged == converged
     assert res.degenerate == degenerate
     assert objective(state, res.certificate) == pytest.approx(res.value, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims, ks", [
+    ((2, 2, 2), (1, 1, 1)),
+    ((3, 3, 3), (3, 1, 2)),
+    ((8, 8, 8), (3, 3, 3)),
+    ((2,) * 6, (1, 2, 1, 2, 1, 1)),
+])
+@pytest.mark.parametrize("restarts", [1, 64])
+def test_starts_are_the_per_restart_haar_frames(dims, ks, restarts):
+    # one row of normals and one stacked QR per party draw, byte for byte,
+    # the frames that haar_random_frame draws from each restart's stream
+    cfg = SolverConfig(restarts=restarts, seed=7)
+    stacks = _starts(haar_random_state(dims, 3), ks, cfg)
+    for p, (d, k) in enumerate(zip(dims, ks)):
+        assert stacks[p].shape == (restarts + 1, d, k)
+    for r in range(restarts):
+        rng = stream_rng(cfg.seed, r)
+        want = [haar_random_frame(d, k, rng) for d, k in zip(dims, ks)]
+        for p in range(len(dims)):
+            assert stacks[p][r + 1].tobytes() == want[p].tobytes()
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, float("inf"), float("nan")])
+def test_solver_config_needs_a_tolerance_below_one(tol):
+    # a relative per-sweep gain never reaches 1, so tol >= 1 would stop
+    # every start after its first sweep and call it converged
+    with pytest.raises(BadParameter):
+        SolverConfig(tol=tol)
 
 
 def test_solver_local_unitary_invariance():

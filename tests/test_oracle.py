@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from entmono import catalog
 from entmono.errors import BadRank, ShapeMismatch
 from entmono.monotones import PartyGrouping, SolverConfig, bipartite_E, solve_E
 from entmono.oracle import sample_E, trace_product_max
+from entmono.rng import haar_random_frame, stream_rng
 from entmono.states import squared_norm
 
 from conftest import random_matrix, random_states
@@ -40,6 +42,39 @@ def test_sample_E_deterministic(ghz):
     a = sample_E(ghz, (1, 1, 1), samples=50, seed=9)
     b = sample_E(ghz, (1, 1, 1), samples=50, seed=9)
     assert a == b
+
+
+def sample_E_reference(state, ks, samples, seed, block=256):
+    """One Haar frame per party and sample, drawn in turn from one stream
+    by haar_random_frame; each block's frames stacked and contracted as in
+    sample_E, so equal frames give an equal best value."""
+    rng = stream_rng(seed)
+    n = len(ks)
+    letters = "abcdefgh"[:n]
+    upper = letters.upper()
+    subscripts = ",".join([letters] + [f"s{a}{b}" for a, b in zip(letters, upper)])
+    best = 0.0
+    for start in range(0, samples, block):
+        draws = [[haar_random_frame(d, k, rng) for d, k in zip(state.dims, ks)]
+                 for _ in range(min(block, samples - start))]
+        frames = [np.stack([draw[p] for draw in draws]).conj() for p in range(n)]
+        red = np.einsum(f"{subscripts}->s{upper}", state.tensor(), *frames, optimize=True)
+        best = max(best, float((red.real ** 2 + red.imag ** 2).reshape(len(draws), -1)
+                               .sum(axis=1).max()))
+    return best
+
+
+@pytest.mark.parametrize("spec, ks, samples", [
+    ("ghz", (2, 1, 1), 600),
+    ("haar:3x3x3:5", (2, 1, 2), 600),
+])
+def test_sample_E_draws_the_per_sample_frames(spec, ks, samples):
+    # one row of normals per sample and one stacked QR per party and block
+    # give the frames of per-sample haar_random_frame calls, so the best
+    # value is the same float
+    state = catalog.resolve_state(spec)
+    got = sample_E(state, ks, samples=samples, seed=11)
+    assert got == sample_E_reference(state, ks, samples, seed=11)
 
 
 def test_sample_E_bad_rank(ghz):

@@ -369,6 +369,19 @@ def test_haar_determinism():
     assert np.array_equal(s1.amps, s2.amps)
 
 
+@pytest.mark.parametrize("d, k", [(1, 1), (2, 1), (2, 2), (3, 2), (5, 3), (8, 8)])
+def test_haar_frame_matches_the_one_matrix_construction(d, k):
+    # the frame is drawn through the stacked QR; one QR of one matrix,
+    # with R's diagonal phases moved into Q, must give the same bytes
+    for seed in (0, 1, 42):
+        rng = stream_rng(seed)
+        z = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        q, r = np.linalg.qr(z)
+        ph = np.diagonal(r).copy()
+        want = q * (ph / np.abs(ph))
+        assert haar_random_frame(d, k, seed).tobytes() == want.tobytes()
+
+
 def test_haar_streams_differ():
     a = stream_rng(1, 0).standard_normal(4)
     b = stream_rng(1, 1).standard_normal(4)
