@@ -28,7 +28,7 @@ from .contractions import (
     is_simple_form,
     parse_contraction,
 )
-from .errors import DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
+from .errors import BadParameter, DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
 from .rng import haar_random_unitary, stream_rng
 from .states import DensityOp, StateTensor, apply_local_unitaries, odot, squared_norm
 
@@ -196,6 +196,8 @@ def local_unitary_invariance_check(
     when it is at most ``LU_TOL`` times max(|baseline|, ||psi||^n), n the
     target's number of psi/psi* factors (0 for a callable).
     """
+    if trials < 1:
+        raise BadParameter(f"need at least one trial, got {trials}")
     fn, degree = _as_evaluator(target)
     base = fn(state)
     worst = 0.0

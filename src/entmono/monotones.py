@@ -2,10 +2,11 @@
 
 The central quantity is the maximal squared norm of a state's projection
 onto a product of local subspaces with prescribed dimensions (k_0, ..,
-k_{N-1}).  Bipartite-reducible cases have an exact closed form (sum of the
-leading reduced-density eigenvalues); everything else is attacked with
-multi-start alternating maximization over the per-party frames, which
-yields a certified lower bound.
+k_{N-1}).  Parties with k_i = d_i take no part in the maximization; with
+at most one restricted party left the value has an exact closed form (sum
+of the leading reduced-density eigenvalues), and otherwise multi-start
+alternating maximization over the restricted parties' frames yields a
+certified lower bound.
 
 Also here: the classical bipartite background quantities (trace powers,
 elementary symmetric polynomials, majorization, leading-eigenvalue partial
@@ -138,16 +139,16 @@ def _frames_of(frame) -> tuple[np.ndarray, ...]:
 
 
 def _project(t: np.ndarray, frames: Sequence[np.ndarray], skip: int | None = None) -> np.ndarray:
-    """Apply V_j^dag on every axis j except ``skip``, for S stacked starts.
+    """Apply V_j^dag on every axis j that has a frame, except ``skip``, for S stacked starts.
 
-    ``frames[j]`` has shape (S, d_j, k_j).  The first contracted party is
-    one GEMM of the shared psi against all S frames at once, which puts
-    the start axis in front; every later party is a batched matmul.
-    Returns (S, K) with K the product of the ranks when nothing is
-    skipped, and (S, A, d_skip, B) otherwise, where A and B are the
-    products of the sizes left before and after the skipped axis.
+    ``frames[j]`` has shape (S, d_j, k_j); axes past the last frame are
+    summed over as they are.  The first contracted party is one GEMM of
+    the shared psi against all S frames at once, which puts the start axis
+    in front; every later party is a batched matmul.  Returns (S, K) when
+    nothing is skipped, and (S, A, d_skip, B) otherwise, where A and B are
+    the products of the sizes left before and after the skipped axis.
     """
-    order = [j for j in range(t.ndim) if j != skip]
+    order = [j for j in range(len(frames)) if j != skip]
     first = order[0]  # party 0, or party 1 when party 0 is skipped
     s, d, k = frames[first].shape
     lead = frames[first].conj().transpose(0, 2, 1).reshape(s * k, d)
@@ -187,7 +188,7 @@ def bipartite_E(state: StateTensor, grouping: PartyGrouping, k1: int, k2: int) -
 
 
 def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):
-    """Top-k eigenvectors of Hermitian matrices stacked as (..., d, d).
+    """Top-k eigenvectors of Hermitian matrices stacked as (..., d, d), k < d.
 
     Returns (frames (..., d, k), sums of the top-k eigenvalues,
     degenerate-cut flags: the k-th and (k+1)-th eigenvalues within
@@ -195,86 +196,72 @@ def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):
     """
     w, u = np.linalg.eigh(m)
     d = m.shape[-1]
-    frames = u[..., ::-1][..., :k]
     top = w[..., ::-1][..., :k].sum(axis=-1)
-    if k == d:
-        return frames, top, np.zeros(w.shape[:-1], dtype=bool)
-    return frames, top, np.abs(w[..., d - k] - w[..., d - k - 1]) <= gap_tol
+    return u[..., ::-1][..., :k], top, np.abs(w[..., d - k] - w[..., d - k - 1]) <= gap_tol
 
 
-def _identity_frame(d: int, k: int) -> np.ndarray:
-    return np.eye(d, dtype=complex)[:, :k]
-
-
-def _exact_bipartite_reducible(
-    state: StateTensor, ks: tuple[int, ...], cfg: SolverConfig
-) -> MonotoneResult:
-    """Closed form when at most one party has a restricted rank."""
-    restricted = [p for p, (k, d) in enumerate(zip(ks, state.dims)) if k < d]
-    frames = [_identity_frame(d, k) for d, k in zip(state.dims, ks)]
-    norm2 = squared_norm(state)
-    if not restricted:
-        value = norm2
-        degenerate = False
-    else:
-        p = restricted[0]
-        frames[p], value, degenerate = _top_eigvecs(
-            _reduced_operator(state.tensor(), (p,)), ks[p], DEGENERACY_TOL * norm2)
-    return MonotoneResult(
-        value=float(value),
-        ranks=ks,
-        certificate=ProjectorFrame(tuple(frames)),
-        converged=True,
-        restarts_agreeing=cfg.restarts + 1,
-        degenerate=bool(degenerate),
-    )
-
-
-def _starts(state: StateTensor, ks: tuple[int, ...], cfg: SolverConfig) -> list[np.ndarray]:
-    """Per party, the (restarts + 1, d, k) stack of start frames.
+def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
+            cfg: SolverConfig) -> list[np.ndarray]:
+    """Per restricted party, the (restarts + 1, d, k) stack of start frames.
 
     Start 0 is the deterministic spectral start (leading eigenvectors of
     each single-party marginal); start r + 1 is read from one row of
     standard normals drawn from ``stream_rng(cfg.seed, r)``, which holds
     the frames ``haar_random_frame`` would draw from that stream, one per
-    party in party order.  Each party's frames come from one stacked QR.
+    party in party order, unrestricted parties included.  Each restricted
+    party's frames come from one stacked QR of its columns.
     """
-    t = state.tensor()
-    width = 2 * sum(d * k for d, k in zip(state.dims, ks))
-    normals = np.stack([stream_rng(cfg.seed, r).standard_normal(width)
+    at = np.cumsum([0] + [2 * d * k for d, k in zip(state.dims, ks)])
+    normals = np.stack([stream_rng(cfg.seed, r).standard_normal(at[-1])
                         for r in range(cfg.restarts)])
-    spectral = [_top_eigvecs(_reduced_operator(t, (p,)), k, 0.0)[0] for p, k in enumerate(ks)]
-    return [np.concatenate([s[None], f])
-            for s, f in zip(spectral, _haar_frames(normals, state.dims, ks))]
+    cols = np.concatenate([np.arange(at[p], at[p + 1]) for p in restricted])
+    haar = _haar_frames(normals[:, cols], [state.dims[p] for p in restricted],
+                        [ks[p] for p in restricted])
+    spectral = [_top_eigvecs(_reduced_operator(state.tensor(), (p,)), ks[p], 0.0)[0]
+                for p in restricted]
+    return [np.concatenate([s[None], f]) for s, f in zip(spectral, haar)]
 
 
 def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = None) -> MonotoneResult:
     """Maximize the product-subspace projection weight at ranks ``ks``.
 
-    Runs ``cfg.restarts`` Haar-random starts plus one deterministic start
+    A party with k_i = d_i has the identity as its projector, so only the
+    restricted parties (k_i < d_i) are solved for; all others share one
+    trailing axis of the state tensor that is never projected.  With at
+    most one restricted party the value is closed form: the squared norm,
+    or the top-k eigenvalue sum of that party's marginal.  Otherwise it
+    runs ``cfg.restarts`` Haar-random starts plus one deterministic start
     seeded from the single-party marginal spectra.  This is HOOI
-    (higher-order orthogonal iteration): each party step sets that
-    party's frame to the top-k eigenvectors of its conditional reduced
-    operator, the exact single-party optimum, so the objective cannot
-    decrease.  All starts sweep together, stacked on a leading axis; a
-    start leaves the sweep once its own per-sweep gain is at most
-    ``cfg.tol`` times the squared norm.  When at most one party is
-    rank-restricted the bipartite closed form is returned instead of
-    iterating.
+    (higher-order orthogonal iteration): each party step sets that party's
+    frame to the top-k eigenvectors of its conditional reduced operator,
+    the exact single-party optimum, so the objective cannot decrease.  All
+    starts sweep together, stacked on a leading axis; a start leaves the
+    sweep once its own per-sweep gain is at most ``cfg.tol`` times the
+    squared norm.
 
     The value is a certified lower bound: it is exactly the objective of
-    the returned certificate.  ``restarts_agreeing`` counts starts that
-    landed within 1e-8 (relative to the squared norm) of the best, as a
-    crude confidence signal.
+    the returned certificate (the identity on unrestricted parties).
+    ``restarts_agreeing`` counts starts that landed within 1e-8 (relative
+    to the squared norm) of the best, as a crude confidence signal.
     """
     cfg = cfg or SolverConfig()
     ks = _check_ranks(state.dims, ks)
-    if sum(k < d for k, d in zip(ks, state.dims)) <= 1:
-        return _exact_bipartite_reducible(state, ks, cfg)
-
-    t = state.tensor()
+    restricted = [p for p, (k, d) in enumerate(zip(ks, state.dims)) if k < d]
+    others = [p for p in range(state.n_parties) if p not in restricted]
+    t = state.tensor().transpose(restricted + others).reshape(
+        [state.dims[p] for p in restricted] + [-1])
     norm2 = squared_norm(state)
-    frames = _starts(state, ks, cfg)
+    certificate = [np.eye(d, dtype=complex) for d in state.dims]
+    if len(restricted) <= 1:
+        value, degenerate = norm2, False
+        for p in restricted:
+            certificate[p], value, degenerate = _top_eigvecs(
+                _reduced_operator(t, (0,)), ks[p], DEGENERACY_TOL * norm2)
+        return MonotoneResult(float(value), ks, ProjectorFrame(tuple(certificate)),
+                              converged=True, restarts_agreeing=cfg.restarts + 1,
+                              degenerate=bool(degenerate))
+
+    frames = _starts(state, ks, restricted, cfg)
     n_starts = frames[0].shape[0]
     value = np.zeros(n_starts)
     converged = np.zeros(n_starts, dtype=bool)
@@ -285,11 +272,11 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     for _ in range(cfg.max_iters):
         work = [f[live] for f in frames]
         swept_degenerate = np.zeros(live.size, dtype=bool)
-        for i, k in enumerate(ks):
+        for i, p in enumerate(restricted):
             x = _project(t, work, skip=i)
             x = x.transpose(0, 2, 1, 3).reshape(live.size, x.shape[2], -1)
             work[i], obj, deg = _top_eigvecs(
-                x @ x.conj().transpose(0, 2, 1), k, DEGENERACY_TOL * norm2)
+                x @ x.conj().transpose(0, 2, 1), ks[p], DEGENERACY_TOL * norm2)
             swept_degenerate |= deg
         if np.any(obj - prev < -ASCENT_SLACK * norm2):
             drop = float(np.max(prev - obj))
@@ -305,10 +292,12 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
             break
 
     best = int(np.argmax(value))
+    for p, f in zip(restricted, frames):
+        certificate[p] = f[best]
     return MonotoneResult(
         value=float(value[best]),
         ranks=ks,
-        certificate=ProjectorFrame(tuple(f[best] for f in frames)),
+        certificate=ProjectorFrame(tuple(certificate)),
         converged=bool(converged.all()),
         restarts_agreeing=int(np.sum(value[best] - value <= AGREEMENT_TOL * norm2)),
         degenerate=bool(degenerate[best]),

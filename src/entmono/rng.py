@@ -12,12 +12,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadRank
+from .errors import BadParameter, BadRank
 from .states import StateTensor, _as_dims
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); deterministic across runs."""
+    if seed < 0 or stream < 0:
+        raise BadParameter(f"seed and stream must be >= 0, got ({seed}, {stream})")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 

@@ -10,7 +10,12 @@ from entmono.contractions import (
     is_simple_form,
     parse_contraction,
 )
-from entmono.errors import DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
+from entmono.errors import (
+    BadParameter,
+    DegreeImbalanceWarning,
+    NotSimpleForm,
+    PartyCountUnsupported,
+)
 from entmono import invariants
 from entmono.invariants import (
     TANGLE_TEXT,
@@ -247,6 +252,13 @@ def test_lu_invariance_delta_contracted_expression(ghz):
 def test_lu_invariance_unknown_name(ghz):
     with pytest.raises(KeyError):
         local_unitary_invariance_check("I99", ghz)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_lu_invariance_needs_a_trial(ghz, trials):
+    # with no trial nothing is checked, so it must not report a pass
+    with pytest.raises(BadParameter):
+        local_unitary_invariance_check("I6", ghz, trials=trials)
 
 
 @pytest.mark.parametrize("c", [1e-6, 1.0, 1e2])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from entmono import catalog
+from entmono import catalog, monotones
 from entmono.errors import BadGrouping, BadParameter, BadRank, DimensionMismatch, SumMismatch
 from entmono.monotones import (
     _starts,
@@ -241,7 +241,12 @@ def test_rank_class_shares_one_value(spec, ranks):
      ("haar:2x2x2x2:1", (1, 1, 1, 1), CFG),
      ("haar:3x3x3:2", (2, 2, 1), SolverConfig(restarts=8, max_iters=1, seed=3)),
      # a degenerate cut at the optimum, on party 0 and not on the last party
-     ("bell-prod", (2, 1, 1), CFG)],
+     ("bell-prod", (2, 1, 1), CFG),
+     # k_i = d_i parties first or in the middle, folded out of the ascent
+     # but swept by the reference
+     ("haar:4x4x4:1", (4, 1, 2), CFG),
+     ("haar:2x2x2x2:1", (1, 2, 1, 1), CFG),
+     ("w", (2, 1, 1), CFG)],
 )
 def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
     state = catalog.resolve_state(spec)
@@ -255,6 +260,25 @@ def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
     assert objective(state, res.certificate) == pytest.approx(res.value, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec, ks", [
+    ("haar:4x4x4:1", (4, 1, 2)),
+    ("haar:2x2x2x2:1", (1, 2, 1, 1)),
+    ("haar:2x2x2x2:1", (2, 2, 1, 1)),
+    ("w", (2, 1, 1)),
+])
+def test_unrestricted_parties_get_no_eigenvector_step(monkeypatch, spec, ks):
+    # a k_i = d_i party's projector is the identity: no spectral start,
+    # sweep step or closed form may diagonalize for it
+    top_eigvecs = monotones._top_eigvecs
+
+    def checked(m, k, gap_tol):
+        assert k < m.shape[-1]
+        return top_eigvecs(m, k, gap_tol)
+
+    monkeypatch.setattr(monotones, "_top_eigvecs", checked)
+    solve_E(catalog.resolve_state(spec), ks, FAST)
+
+
 @pytest.mark.parametrize("dims, ks", [
     ((2, 2, 2), (1, 1, 1)),
     ((3, 3, 3), (3, 1, 2)),
@@ -264,16 +288,19 @@ def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
 @pytest.mark.parametrize("restarts", [1, 64])
 def test_starts_are_the_per_restart_haar_frames(dims, ks, restarts):
     # one row of normals and one stacked QR per party draw, byte for byte,
-    # the frames that haar_random_frame draws from each restart's stream
+    # the frames that haar_random_frame draws from each restart's stream;
+    # k = d parties still take their draws but get no stack
     cfg = SolverConfig(restarts=restarts, seed=7)
-    stacks = _starts(haar_random_state(dims, 3), ks, cfg)
-    for p, (d, k) in enumerate(zip(dims, ks)):
-        assert stacks[p].shape == (restarts + 1, d, k)
+    restricted = [p for p, (d, k) in enumerate(zip(dims, ks)) if k < d]
+    stacks = _starts(haar_random_state(dims, 3), ks, restricted, cfg)
+    assert len(stacks) == len(restricted)
+    for stack, p in zip(stacks, restricted):
+        assert stack.shape == (restarts + 1, dims[p], ks[p])
     for r in range(restarts):
         rng = stream_rng(cfg.seed, r)
         want = [haar_random_frame(d, k, rng) for d, k in zip(dims, ks)]
-        for p in range(len(dims)):
-            assert stacks[p][r + 1].tobytes() == want[p].tobytes()
+        for stack, p in zip(stacks, restricted):
+            assert stack[r + 1].tobytes() == want[p].tobytes()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, float("inf"), float("nan")])
