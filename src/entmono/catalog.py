@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import os
-from math import sqrt
+from itertools import combinations
+from math import comb, sqrt
 
 import numpy as np
 
@@ -18,19 +19,25 @@ def _amps3(entries: dict[tuple[int, int, int], complex]) -> np.ndarray:
     return v
 
 
-def ghz() -> StateTensor:
-    return StateTensor(
-        (2, 2, 2),
-        _amps3({(0, 0, 0): 1 / sqrt(2), (1, 1, 1): 1 / sqrt(2)}),
-        "ghz",
-    )
+def ghz(n: int = 3) -> StateTensor:
+    """(|0...0> + |1...1>) / sqrt(2) on n qubits; labelled ``ghz`` at n = 3."""
+    amps = np.zeros(2 ** n, dtype=complex)
+    amps[[0, -1]] = 1 / sqrt(2)
+    return StateTensor((2,) * n, amps, "ghz" if n == 3 else f"ghz:{n}")
 
 
-def w() -> StateTensor:
-    r = 1 / sqrt(3)
-    return StateTensor(
-        (2, 2, 2), _amps3({(0, 0, 1): r, (0, 1, 0): r, (1, 0, 0): r}), "w"
-    )
+def dicke(n: int, k: int) -> StateTensor:
+    """Dicke state D(n, k): the equal superposition of the n-qubit basis
+    states with k ones."""
+    amps = np.zeros(2 ** n, dtype=complex)
+    ones = [sum(1 << (n - 1 - q) for q in c) for c in combinations(range(n), k)]
+    amps[ones] = 1 / sqrt(comb(n, k))
+    return StateTensor((2,) * n, amps, f"dicke:{n}:{k}")
+
+
+def w(n: int = 3) -> StateTensor:
+    """W state D(n, 1); labelled ``w`` at n = 3."""
+    return StateTensor((2,) * n, dicke(n, 1).amps, "w" if n == 3 else f"w:{n}")
 
 
 def bell_prod() -> StateTensor:
@@ -70,16 +77,30 @@ CATALOG = {
     "kempe2": kempe2,
     "haar": haar,
 }
+# n-qubit families: name -> (constructor, number of integer fields, example)
+FAMILIES = {"ghz": (ghz, 1, "ghz:5"), "w": (w, 1, "w:5"), "dicke": (dicke, 2, "dicke:6:2")}
 
 
 def resolve_state(spec: str) -> StateTensor:
     """Turn a CLI state spec into a state.
 
-    Accepts a catalog name (``ghz``), a parameterized haar spec
-    (``haar:2x2x2:7``), or a path to a JSON state file.
+    Accepts a catalog name (``ghz``), an n-qubit family spec (``ghz:N``,
+    ``w:N``, ``dicke:N:K`` with N >= 2 and 0 <= K <= N), a parameterized
+    haar spec (``haar:2x2x2:7``), or a path to a JSON state file.
     """
     if spec in CATALOG and spec != "haar":
         return CATALOG[spec]()
+    name, _, fields = spec.partition(":")
+    if name in FAMILIES:
+        make, arity, example = FAMILIES[name]
+        try:
+            args = [int(f) for f in fields.split(":")]
+        except ValueError:
+            args = []  # a non-integer field is as bad a spec as a wrong count
+        # N >= 2, and a dicke spec's K (its last field) within 0..N
+        if len(args) != arity or args[0] < 2 or not 0 <= args[-1] <= args[0]:
+            raise KeyError(f"bad {name} spec {spec!r}; use {example}")
+        return make(*args)
     if spec == "haar" or spec.startswith("haar:"):
         parts = spec.split(":") + ["", ""]
         try:

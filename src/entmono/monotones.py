@@ -138,32 +138,46 @@ def _frames_of(frame) -> tuple[np.ndarray, ...]:
     return ProjectorFrame(tuple(frame)).frames
 
 
-def _project(t: np.ndarray, frames: Sequence[np.ndarray], skip: int | None = None) -> np.ndarray:
-    """Apply V_j^dag on every axis j that has a frame, except ``skip``, for S stacked starts.
+def _contract(x: np.ndarray, layout: Sequence[int], frames: Sequence[np.ndarray],
+              parties: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """Apply V_p^dag on party p's axis of x for each p in ``parties``, in that
+    order, for S stacked starts.
 
-    ``frames[j]`` has shape (S, d_j, k_j); axes past the last frame are
-    summed over as they are.  The first contracted party is one GEMM of
-    the shared psi against all S frames at once, which puts the start axis
-    in front; every later party is a batched matmul.  Returns (S, K) when
-    nothing is skipped, and (S, A, d_skip, B) otherwise, where A and B are
-    the products of the sizes left before and after the skipped axis.
+    ``frames[p]`` has shape (S, d_p, k_p), and ``layout[a]`` names the party
+    on party axis a of x; an axis whose label has no frame (the folded
+    environment) is summed over as it is.  x is either the shared state
+    tensor, with no start axis, or an (S, ...) stack of partial
+    contractions.  The first party contracted into the shared tensor is one
+    GEMM of psi, with that party's axis moved to the front, against all S
+    frames at once, which puts the start axis in front.  Every later party
+    stays on its axis, now of size k_p: with A and B the sizes before and
+    after that axis, it is one matmul per start, (A, d) @ conj(V) when
+    B = 1 and V^dag @ (d, B) when A = 1, and otherwise one V^dag @ (d, B)
+    per start and index of A.  A stack is never transposed: its layout
+    travels with it instead.  Returns the contracted x and its layout.
     """
-    order = [j for j in range(len(frames)) if j != skip]
-    first = order[0]  # party 0, or party 1 when party 0 is skipped
-    s, d, k = frames[first].shape
-    lead = frames[first].conj().transpose(0, 2, 1).reshape(s * k, d)
-    x = lead @ t.swapaxes(0, first).reshape(d, -1)
-    layout = [first] + [j for j in range(t.ndim) if j != first]
-    sizes = [k] + [t.shape[j] for j in layout[1:]]
-    for j in order[1:]:
-        pos = layout.index(j)
-        x = frames[j].conj().transpose(0, 2, 1)[:, None] @ x.reshape(
-            s, prod(sizes[:pos]), sizes[pos], -1)
-        sizes[pos] = frames[j].shape[2]
-    if skip is None:
-        return x.reshape(s, -1)
-    pos = layout.index(skip)
-    return x.reshape(s, prod(sizes[:pos]), sizes[pos], -1)
+    parties = list(parties)
+    layout = list(layout)
+    if x.ndim == len(layout):
+        p = parties.pop(0)
+        pos = layout.index(p)
+        x = x.transpose([pos] + [a for a in range(x.ndim) if a != pos])
+        layout.insert(0, layout.pop(pos))
+        s, d, k = frames[p].shape
+        lead = frames[p].conj().transpose(0, 2, 1).reshape(s * k, d)
+        x = (lead @ x.reshape(d, -1)).reshape(s, k, *x.shape[1:])
+    for p in parties:
+        pos = layout.index(p) + 1
+        s, d, k = frames[p].shape
+        shape = list(x.shape)
+        before, after = prod(shape[1:pos]), prod(shape[pos + 1:])
+        if after == 1:
+            x = x.reshape(s, before, d) @ frames[p].conj()
+        else:
+            x = frames[p].conj().transpose(0, 2, 1)[:, None] @ x.reshape(s, before, d, after)
+        shape[pos] = k
+        x = x.reshape(shape)
+    return x, layout
 
 
 def objective(state: StateTensor, frame) -> float:
@@ -173,7 +187,8 @@ def objective(state: StateTensor, frame) -> float:
         v.shape[0] != d for v, d in zip(frames, state.dims)
     ):
         raise DimensionMismatch("frame shapes do not match the state's party dims")
-    red = _project(state.tensor(), [v[None] for v in frames])
+    parties = range(state.n_parties)
+    red, _ = _contract(state.tensor(), parties, [v[None] for v in frames], parties)
     return float(np.vdot(red, red).real)
 
 
@@ -198,6 +213,75 @@ def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):
     d = m.shape[-1]
     top = w[..., ::-1][..., :k].sum(axis=-1)
     return u[..., ::-1][..., :k], top, np.abs(w[..., d - k] - w[..., d - k - 1]) <= gap_tol
+
+
+def _rank_one_step(x: np.ndarray, gap_tol: float):
+    """``_top_eigvecs(x x^dag, 1, gap_tol)`` for stacked single columns x (..., d, 1).
+
+    x x^dag has one nonzero eigenvalue, |x|^2, with eigenvector x / |x|,
+    so the step needs neither the Gram matrix nor ``eigh``: it is the step
+    of the higher-order power method.  Every other eigenvalue is zero, so
+    the cut is degenerate exactly when |x|^2 <= ``gap_tol``.  A zero column
+    gets the first basis vector as its frame.
+    """
+    top = (x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1))
+    zero = top == 0
+    frame = x / np.where(zero, 1.0, np.sqrt(top))[..., None, None]
+    frame[zero, 0] = 1
+    return frame, top, top <= gap_tol
+
+
+def _party_step(x: np.ndarray, layout: list[int], p: int, k: int, gap_tol: float):
+    """Top-k frame of party p's conditional operator X X^dag, where x is psi
+    contracted with the current frames of every other restricted party.
+
+    When k = 1 and X is a single column (every other restricted party has
+    rank 1 and no party is folded) this is ``_rank_one_step``; otherwise
+    it is ``_top_eigvecs`` on the Gram matrix.
+    """
+    pos = layout.index(p) + 1
+    s, d = x.shape[0], x.shape[pos]
+    before, after = prod(x.shape[1:pos]), prod(x.shape[pos + 1:])
+    if k == 1 and before * after == 1:
+        return _rank_one_step(x.reshape(s, d, 1), gap_tol)
+    if after == 1:  # x holds X^T, and X X^dag = (X^T)^T conj(X^T)
+        x = x.reshape(s, before, d)
+        gram = x.transpose(0, 2, 1) @ x.conj()
+    else:
+        x = x.reshape(s, before, d, after).transpose(0, 2, 1, 3).reshape(s, d, -1)
+        gram = x @ x.conj().transpose(0, 2, 1)
+    return _top_eigvecs(gram, k, gap_tol)
+
+
+def _sweep(x: np.ndarray, layout: list[int], frames: list[np.ndarray],
+           parties: Sequence[int], gap_tol: float):
+    """One Gauss-Seidel pass over ``parties``, in order, replacing their frames.
+
+    x is psi contracted with the current frames of every restricted party
+    outside ``parties``.  The parties split into a left and a right half:
+    the left half is swept on x contracted with the right half's frames,
+    then the right half on x contracted with the left half's new frames.
+    Over this dimension tree a pass over n parties costs
+    C(n) = n + C(ceil(n/2)) + C(floor(n/2)), C(1) = 0, contractions,
+    against n(n - 1) when each step contracts every other party afresh.
+
+    The parties not yet contracted stay in party order on x, so contracting
+    the right half from its last party back, and the left half from its
+    first party on, leaves only contracted axes (and the folded axis) on
+    one side of each contracted axis: with rank-1 frames and no folded
+    party, every contraction is one matmul per start.  Returns the
+    objective after the last step and whether any step's cut was
+    degenerate.
+    """
+    if len(parties) == 1:
+        p = parties[0]
+        frames[p], obj, degenerate = _party_step(x, layout, p, frames[p].shape[2], gap_tol)
+        return obj, degenerate
+    half = (len(parties) + 1) // 2
+    left, right = parties[:half], parties[half:]
+    _, degenerate = _sweep(*_contract(x, layout, frames, right[::-1]), frames, left, gap_tol)
+    obj, right_degenerate = _sweep(*_contract(x, layout, frames, left), frames, right, gap_tol)
+    return obj, degenerate | right_degenerate
 
 
 def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
@@ -234,10 +318,18 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     seeded from the single-party marginal spectra.  This is HOOI
     (higher-order orthogonal iteration): each party step sets that party's
     frame to the top-k eigenvectors of its conditional reduced operator,
-    the exact single-party optimum, so the objective cannot decrease.  All
-    starts sweep together, stacked on a leading axis; a start leaves the
-    sweep once its own per-sweep gain is at most ``cfg.tol`` times the
-    squared norm.
+    the exact single-party optimum, so the objective cannot decrease.  A
+    sweep steps the restricted parties in party order (Gauss-Seidel) over
+    a dimension tree (``_sweep``), which shares partial contractions of psi
+    between party steps: C(n) = n + C(ceil(n/2)) + C(floor(n/2)) party
+    contractions per sweep over n parties (5, 8, 16, 44 for n = 3, 4, 6,
+    12) instead of n(n - 1).  When k_i = 1 and the conditional operator
+    has rank one (every other restricted party has rank 1 and no party is
+    folded, as in the all-ones class) the step is closed form, the
+    higher-order power method's x / |x| with value |x|^2, and no ``eigh``
+    runs.  All starts sweep together, stacked on a leading axis; a start
+    leaves the sweep once its own per-sweep gain is at most ``cfg.tol``
+    times the squared norm.
 
     The value is a certified lower bound: it is exactly the objective of
     the returned certificate (the identity on unrestricted parties).
@@ -267,17 +359,13 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     converged = np.zeros(n_starts, dtype=bool)
     degenerate = np.zeros(n_starts, dtype=bool)
     live = np.arange(n_starts)
-    red = _project(t, frames)
-    prev = (red.real ** 2 + red.imag ** 2).sum(axis=-1)
+    axes = list(range(t.ndim))
+    parties = range(len(restricted))
+    red, _ = _contract(t, axes, frames, parties)
+    prev = (red.real ** 2 + red.imag ** 2).reshape(n_starts, -1).sum(axis=-1)
     for _ in range(cfg.max_iters):
         work = [f[live] for f in frames]
-        swept_degenerate = np.zeros(live.size, dtype=bool)
-        for i, p in enumerate(restricted):
-            x = _project(t, work, skip=i)
-            x = x.transpose(0, 2, 1, 3).reshape(live.size, x.shape[2], -1)
-            work[i], obj, deg = _top_eigvecs(
-                x @ x.conj().transpose(0, 2, 1), ks[p], DEGENERACY_TOL * norm2)
-            swept_degenerate |= deg
+        obj, swept_degenerate = _sweep(t, axes, work, parties, DEGENERACY_TOL * norm2)
         if np.any(obj - prev < -ASCENT_SLACK * norm2):
             drop = float(np.max(prev - obj))
             raise ArithmeticError(f"alternating step decreased the objective by {drop:.3g}")

@@ -210,3 +210,57 @@ def test_resolve_state_catalog_names():
         s = resolve_state(name)
         assert s.dims == (2, 2, 2)
         assert np.isfinite(s.amps).all()
+
+
+def test_plain_ghz_and_w_keep_their_amplitudes_and_labels():
+    # the n-qubit families reproduce the three-qubit catalogue states byte
+    # for byte, so their --json output does not change
+    r2, r3 = 1 / np.sqrt(2), 1 / np.sqrt(3)
+    want = {"ghz": {0: r2, 7: r2}, "w": {1: r3, 2: r3, 4: r3}}
+    for name, entries in want.items():
+        amps = np.zeros(8, dtype=complex)
+        amps[list(entries)] = list(entries.values())
+        for spec in (name, f"{name}:3"):
+            s = resolve_state(spec)
+            assert (s.dims, s.label) == ((2, 2, 2), name)
+            assert s.amps.tobytes() == amps.tobytes()
+
+
+@pytest.mark.parametrize("spec, n, support, label", [
+    ("ghz:2", 2, [0, 3], "ghz:2"),
+    ("ghz:5", 5, [0, 31], "ghz:5"),
+    ("w:4", 4, [1, 2, 4, 8], "w:4"),
+    ("dicke:4:2", 4, [3, 5, 6, 9, 10, 12], "dicke:4:2"),
+    ("dicke:3:0", 3, [0], "dicke:3:0"),
+    ("dicke:3:3", 3, [7], "dicke:3:3"),
+])
+def test_n_qubit_family_specs(spec, n, support, label):
+    s = resolve_state(spec)
+    assert (s.dims, s.label) == ((2,) * n, label)
+    assert np.flatnonzero(s.amps).tolist() == support
+    np.testing.assert_allclose(s.amps[support], 1 / np.sqrt(len(support)), rtol=0, atol=1e-15)
+
+
+def test_eval_reaches_n_qubit_states(capsys):
+    code, out, _ = run(capsys, "eval", "--state", "dicke:6:2", "--ranks", "1,1,1,1,1,1",
+                       "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["state"] == "dicke:6:2"
+    assert payload["value"] == pytest.approx(15 * (1 / 3) ** 2 * (2 / 3) ** 4, abs=1e-10)
+
+
+@pytest.mark.parametrize("spec", [
+    "ghz:", "ghz:1", "ghz:0", "ghz:x", "ghz:3:1", "ghz:2.5", "w:1", "w:-3", "w:4:1",
+    "dicke", "dicke:4", "dicke:4:5", "dicke:4:-1", "dicke:1:0", "dicke:4:1:2", "dicke:4:x",
+    "dicke::",
+])
+def test_bad_family_specs_are_key_errors(capsys, spec):
+    # the same path as a bad haar spec: a KeyError, which the CLI reports
+    # with exit code 2
+    with pytest.raises(KeyError, match="bad"):
+        resolve_state(spec)
+    code, out, err = run(capsys, "eval", "--state", spec, "--ranks", "1,1,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad")

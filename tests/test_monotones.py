@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -246,7 +247,12 @@ def test_rank_class_shares_one_value(spec, ranks):
      # but swept by the reference
      ("haar:4x4x4:1", (4, 1, 2), CFG),
      ("haar:2x2x2x2:1", (1, 2, 1, 1), CFG),
-     ("w", (2, 1, 1), CFG)],
+     ("w", (2, 1, 1), CFG),
+     # dimension-tree sweeps: an odd split, mixed ranks around a folded
+     # party in the middle, and one sweep of rank-one steps
+     ("haar:2x2x2x2x2:1", (1,) * 5, CFG),
+     ("haar:2x2x2x2x2x2:1", (1, 2, 1, 2, 1, 1), CFG),
+     ("haar:2x2x2x2x2x2:1", (1,) * 6, SolverConfig(restarts=32, max_iters=1, seed=1))],
 )
 def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
     state = catalog.resolve_state(spec)
@@ -277,6 +283,90 @@ def test_unrestricted_parties_get_no_eigenvector_step(monkeypatch, spec, ks):
 
     monkeypatch.setattr(monotones, "_top_eigvecs", checked)
     solve_E(catalog.resolve_state(spec), ks, FAST)
+
+
+@pytest.mark.parametrize("n, want", [(2, 2), (3, 5), (4, 8), (5, 12), (6, 16), (12, 44)])
+def test_sweep_contractions_follow_the_dimension_tree(monkeypatch, n, want):
+    # one sweep over n restricted parties costs C(n) = n + C(ceil(n/2)) +
+    # C(floor(n/2)), C(1) = 0, party contractions, against n(n - 1) when
+    # every party step contracts all the others afresh
+    contract = monotones._contract
+    count = 0
+
+    def counted(x, layout, frames, parties):
+        nonlocal count
+        parties = list(parties)
+        count += len(parties)
+        return contract(x, layout, frames, parties)
+
+    monkeypatch.setattr(monotones, "_contract", counted)
+    state = catalog.resolve_state("haar:" + "x".join(["2"] * n) + ":1")
+    totals = []
+    for iters in (1, 2):
+        count = 0
+        res = solve_E(state, (1,) * n, SolverConfig(restarts=4, max_iters=iters, seed=1))
+        totals.append(count)
+        if iters == 1:
+            assert not res.converged  # so a second sweep runs
+    assert totals[1] - totals[0] == want
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_rank_one_step_is_the_top_eigenvector(d):
+    # x x^dag has the single nonzero eigenvalue |x|^2, so the closed-form
+    # step must give eigh's value, degenerate flag and frame (up to phase)
+    gen = np.random.default_rng(d)
+    x = gen.standard_normal((12, d, 1)) + 1j * gen.standard_normal((12, d, 1))
+    gap_tol = 1e-10
+    x[3] = 0
+    x[5] *= np.sqrt(0.5 * gap_tol) / np.linalg.norm(x[5])  # below the threshold
+    x[7] *= np.sqrt(2 * gap_tol) / np.linalg.norm(x[7])  # just above it
+    x[9, 1:] = 0
+    frame, value, degenerate = monotones._rank_one_step(x, gap_tol)
+    want_frame, want_value, want_degenerate = monotones._top_eigvecs(
+        x @ x.conj().transpose(0, 2, 1), 1, gap_tol)
+    assert frame.shape == want_frame.shape == (12, d, 1)
+    np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(degenerate, want_degenerate)
+    assert degenerate.tolist() == [i in (3, 5) for i in range(12)]
+    np.testing.assert_allclose(np.linalg.norm(frame, axis=(1, 2)), 1, rtol=0, atol=1e-14)
+    overlap = np.abs(np.sum(frame.conj() * want_frame, axis=(1, 2)))
+    nonzero = np.arange(12) != 3
+    np.testing.assert_allclose(overlap[nonzero], 1, rtol=0, atol=1e-12)
+
+
+def _dicke_E(n, k):
+    return comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k)
+
+
+def _check_all_ones(state, want):
+    # default SolverConfig; the solver's value is a lower bound
+    res = solve_E(state, (1,) * state.n_parties)
+    assert want - 1e-10 <= res.value <= want + 1e-12
+    assert res.converged
+
+
+@pytest.mark.parametrize("spec, want", [
+    *[(f"ghz:{n}", 0.5) for n in (3, 6, 8, 12)],
+    *[(f"w:{n}", ((n - 1) / n) ** (n - 1)) for n in (3, 6, 8, 12)],
+    *[(f"dicke:{n}:{k}", _dicke_E(n, k)) for n, k in ((6, 3), (8, 2), (8, 4), (12, 3), (12, 6))],
+])
+def test_all_ones_class_closed_forms(spec, want):
+    # E_(1,...,1) is the largest squared overlap with a product state: 1/2
+    # for GHZ_n and C(n,k) (k/n)^k ((n-k)/n)^(n-k) for the Dicke state
+    # D(n,k), W_n being k = 1 (Wei & Goldbart, PRA 68, 042307, 2003)
+    _check_all_ones(catalog.resolve_state(spec), want)
+
+
+@pytest.mark.parametrize("n", [3, 6, 8, 12])
+def test_all_ones_class_of_a_product_state_is_its_norm(n):
+    gen = np.random.default_rng(n)
+    amps = np.ones(1, dtype=complex)
+    for _ in range(n):
+        v = gen.standard_normal(2) + 1j * gen.standard_normal(2)
+        amps = np.kron(amps, v / np.linalg.norm(v))
+    state = new_state([2] * n, 1.7 * amps)
+    _check_all_ones(state, squared_norm(state))
 
 
 @pytest.mark.parametrize("dims, ks", [
