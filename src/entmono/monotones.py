@@ -2,7 +2,9 @@
 
 The central quantity is the maximal squared norm of a state's projection
 onto a product of local subspaces with prescribed dimensions (k_0, ..,
-k_{N-1}).  Parties with k_i = d_i take no part in the maximization; with
+k_{N-1}).  Parties with k_i = d_i, or with k_i at least the product of
+the other ranks (raised to d_i, which leaves the value unchanged), take no
+part in the maximization; with
 at most one restricted party left the value has an exact closed form (sum
 of the leading reduced-density eigenvalues), and otherwise multi-start
 alternating maximization over the restricted parties' frames yields a
@@ -15,6 +17,7 @@ sums).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from math import prod
 from typing import Sequence
@@ -284,75 +287,102 @@ def _sweep(x: np.ndarray, layout: list[int], frames: list[np.ndarray],
     return obj, degenerate | right_degenerate
 
 
+@functools.lru_cache(maxsize=32)
+def _haar_starts(shape: tuple[tuple[int, int], ...], restricted: tuple[int, ...],
+                 seed: int, restarts: int) -> tuple[np.ndarray, ...]:
+    """Per restricted party, the read-only (restarts, d, k) stack of Haar
+    start frames for parties of shape ``shape`` = ((d_0, k_0), ...).
+
+    Start r is read from one row of standard normals drawn from
+    ``stream_rng(seed, r)``, which holds the frames ``haar_random_frame``
+    would draw from that stream, one per party in party order, unrestricted
+    parties included.  Each restricted party's frames come from one
+    stacked QR of its columns.  The draw depends on nothing but the key,
+    so every solve of that shape shares it; the stacks are read-only
+    because they are shared.
+    """
+    at = np.cumsum([0] + [2 * d * k for d, k in shape])
+    normals = np.stack([stream_rng(seed, r).standard_normal(at[-1])
+                        for r in range(restarts)])
+    cols = np.concatenate([np.arange(at[p], at[p + 1]) for p in restricted])
+    stacks = _haar_frames(normals[:, cols], [shape[p][0] for p in restricted],
+                          [shape[p][1] for p in restricted])
+    for f in stacks:
+        f.setflags(write=False)
+    return tuple(stacks)
+
+
 def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
             cfg: SolverConfig) -> list[np.ndarray]:
     """Per restricted party, the (restarts + 1, d, k) stack of start frames.
 
     Start 0 is the deterministic spectral start (leading eigenvectors of
-    each single-party marginal); start r + 1 is read from one row of
-    standard normals drawn from ``stream_rng(cfg.seed, r)``, which holds
-    the frames ``haar_random_frame`` would draw from that stream, one per
-    party in party order, unrestricted parties included.  Each restricted
-    party's frames come from one stacked QR of its columns.
+    each single-party marginal); starts 1.. are the Haar frames of
+    ``_haar_starts``, drawn once per (dims, ranks, restricted parties,
+    seed, restarts) and shared by every state of that shape.  ``ks`` is
+    the vector the ascent sweeps, rank-saturated parties already raised to
+    d_i (``_raise_saturated``), so a raised solve draws the starts of its
+    raised vector.  Each stack returned is a fresh, writable concatenation.
     """
-    at = np.cumsum([0] + [2 * d * k for d, k in zip(state.dims, ks)])
-    normals = np.stack([stream_rng(cfg.seed, r).standard_normal(at[-1])
-                        for r in range(cfg.restarts)])
-    cols = np.concatenate([np.arange(at[p], at[p + 1]) for p in restricted])
-    haar = _haar_frames(normals[:, cols], [state.dims[p] for p in restricted],
-                        [ks[p] for p in restricted])
+    haar = _haar_starts(tuple(zip(state.dims, ks)), tuple(restricted), cfg.seed,
+                        cfg.restarts)
     spectral = [_top_eigvecs(_reduced_operator(state.tensor(), (p,)), ks[p], 0.0)[0]
                 for p in restricted]
     return [np.concatenate([s[None], f]) for s, f in zip(spectral, haar)]
 
 
-def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = None) -> MonotoneResult:
-    """Maximize the product-subspace projection weight at ranks ``ks``.
+def _raise_saturated(dims: Sequence[int],
+                     ks: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """Ranks with each rank-saturated party raised to its dimension, and the
+    raised parties in the order they were raised.
 
-    A party with k_i = d_i has the identity as its projector, so only the
-    restricted parties (k_i < d_i) are solved for; all others share one
-    trailing axis of the state tensor that is never projected.  With at
-    most one restricted party the value is closed form: the squared norm,
-    or the top-k eigenvalue sum of that party's marginal.  Otherwise it
-    runs ``cfg.restarts`` Haar-random starts plus one deterministic start
-    seeded from the single-party marginal spectra.  This is HOOI
-    (higher-order orthogonal iteration): each party step sets that party's
-    frame to the top-k eigenvectors of its conditional reduced operator,
-    the exact single-party optimum, so the objective cannot decrease.  A
-    sweep steps the restricted parties in party order (Gauss-Seidel) over
-    a dimension tree (``_sweep``), which shares partial contractions of psi
-    between party steps: C(n) = n + C(ceil(n/2)) + C(floor(n/2)) party
-    contractions per sweep over n parties (5, 8, 16, 44 for n = 3, 4, 6,
-    12) instead of n(n - 1).  When k_i = 1 and the conditional operator
-    has rank one (every other restricted party has rank 1 and no party is
-    folded, as in the all-ones class) the step is closed form, the
-    higher-order power method's x / |x| with value |x|^2, and no ``eigh``
-    runs.  All starts sweep together, stacked on a leading axis; a start
-    leaves the sweep once its own per-sweep gain is at most ``cfg.tol``
-    times the squared norm.
-
-    The value is a certified lower bound: it is exactly the objective of
-    the returned certificate (the identity on unrestricted parties).
-    ``restarts_agreeing`` counts starts that landed within 1e-8 (relative
-    to the squared norm) of the best, as a crude confidence signal.
+    Party i's conditional operator has rank at most prod_{j != i} k_j, so
+    when 2 <= k_i < d_i and k_i reaches that product, its top-k_i
+    eigenvectors hold all of its weight and the identity does no better:
+    E is unchanged by k_i -> d_i.  The parties are walked in party order
+    against the vector raised so far.  k_i = 1 is never raised, which
+    keeps the closed-form rank-one steps of the all-ones class.
     """
-    cfg = cfg or SolverConfig()
-    ks = _check_ranks(state.dims, ks)
-    restricted = [p for p, (k, d) in enumerate(zip(ks, state.dims)) if k < d]
-    others = [p for p in range(state.n_parties) if p not in restricted]
-    t = state.tensor().transpose(restricted + others).reshape(
-        [state.dims[p] for p in restricted] + [-1])
-    norm2 = squared_norm(state)
-    certificate = [np.eye(d, dtype=complex) for d in state.dims]
-    if len(restricted) <= 1:
-        value, degenerate = norm2, False
-        for p in restricted:
-            certificate[p], value, degenerate = _top_eigvecs(
-                _reduced_operator(t, (0,)), ks[p], DEGENERACY_TOL * norm2)
-        return MonotoneResult(float(value), ks, ProjectorFrame(tuple(certificate)),
-                              converged=True, restarts_agreeing=cfg.restarts + 1,
-                              degenerate=bool(degenerate))
+    swept, raised = list(ks), []
+    for i, d in enumerate(dims):
+        if 2 <= swept[i] < d and swept[i] >= prod(swept[:i] + swept[i + 1:]):
+            swept[i] = d
+            raised.append(i)
+    return tuple(swept), raised
 
+
+def _fill_raised(state: StateTensor, certificate: list[np.ndarray], ks: tuple[int, ...],
+                 raised: Sequence[int], gap_tol: float) -> bool:
+    """Give each raised party its d_i x k_i frame, in reverse raise order.
+
+    Each frame is the top-k_i eigenvectors of the party's conditional
+    operator given the other parties' final frames.  Filled in reverse,
+    every party raised before i still has the identity, so that operator
+    has the rank bound that raised i and the frame keeps the objective.
+    Returns whether any fill's cut was degenerate.
+    """
+    t, parties = state.tensor(), list(range(state.n_parties))
+    stacks = [v[None] for v in certificate]
+    degenerate = False
+    for i in reversed(raised):
+        others = [p for p in parties if p != i and certificate[p].shape[1] < state.dims[p]]
+        x, layout = _contract(t, parties, stacks, others) if others else (t[None], parties)
+        frame, _, cut = _party_step(x, layout, i, ks[i], gap_tol)
+        certificate[i], stacks[i] = frame[0], frame
+        degenerate |= bool(cut[0])
+    return degenerate
+
+
+def _ascend(state: StateTensor, t: np.ndarray, ks: tuple[int, ...], restricted: list[int],
+            certificate: list[np.ndarray], norm2: float, cfg: SolverConfig):
+    """Multi-start HOOI over the restricted parties (``solve_E``).
+
+    t is psi with the restricted parties' axes first, in party order, and
+    the unrestricted ones folded into one trailing axis.  Writes the best
+    start's frames into ``certificate`` and returns (best value, all
+    starts converged, starts agreeing with the best, degenerate cut at the
+    best start).
+    """
     frames = _starts(state, ks, restricted, cfg)
     n_starts = frames[0].shape[0]
     value = np.zeros(n_starts)
@@ -382,13 +412,73 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     best = int(np.argmax(value))
     for p, f in zip(restricted, frames):
         certificate[p] = f[best]
+    return (value[best], bool(converged.all()),
+            int(np.sum(value[best] - value <= AGREEMENT_TOL * norm2)), bool(degenerate[best]))
+
+
+def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = None) -> MonotoneResult:
+    """Maximize the product-subspace projection weight at ranks ``ks``.
+
+    A party with k_i = d_i has the identity as its projector, so only the
+    restricted parties (k_i < d_i) are solved for; all others share one
+    trailing axis of the state tensor that is never projected.  A
+    rank-saturated party (2 <= k_i < d_i, k_i >= prod_{j != i} k_j) is
+    first raised to k_i = d_i, which leaves E unchanged
+    (``_raise_saturated``), and gets its d_i x k_i frame after the solve
+    (``_fill_raised``); the value is then the certificate's objective.
+    With at most one restricted party the value is closed form: the
+    squared norm, or the top-k eigenvalue sum of that party's marginal.
+    Otherwise it runs ``cfg.restarts`` Haar-random starts, drawn once per
+    shape (``_starts``), plus one deterministic start seeded from the
+    single-party marginal spectra.  This is HOOI
+    (higher-order orthogonal iteration): each party step sets that party's
+    frame to the top-k eigenvectors of its conditional reduced operator,
+    the exact single-party optimum, so the objective cannot decrease.  A
+    sweep steps the restricted parties in party order (Gauss-Seidel) over
+    a dimension tree (``_sweep``), which shares partial contractions of psi
+    between party steps: C(n) = n + C(ceil(n/2)) + C(floor(n/2)) party
+    contractions per sweep over n parties (5, 8, 16, 44 for n = 3, 4, 6,
+    12) instead of n(n - 1).  When k_i = 1 and the conditional operator
+    has rank one (every other restricted party has rank 1 and no party is
+    folded, as in the all-ones class) the step is closed form, the
+    higher-order power method's x / |x| with value |x|^2, and no ``eigh``
+    runs.  All starts sweep together, stacked on a leading axis; a start
+    leaves the sweep once its own per-sweep gain is at most ``cfg.tol``
+    times the squared norm.
+
+    The value is a certified lower bound: it is exactly the objective of
+    the returned certificate (the identity on unrestricted parties).
+    ``restarts_agreeing`` counts starts that landed within 1e-8 (relative
+    to the squared norm) of the best, as a crude confidence signal.
+    """
+    cfg = cfg or SolverConfig()
+    ks = _check_ranks(state.dims, ks)
+    swept, raised = _raise_saturated(state.dims, ks)
+    restricted = [p for p, (k, d) in enumerate(zip(swept, state.dims)) if k < d]
+    others = [p for p in range(state.n_parties) if p not in restricted]
+    t = state.tensor().transpose(restricted + others).reshape(
+        [state.dims[p] for p in restricted] + [-1])
+    norm2 = squared_norm(state)
+    certificate = [np.eye(d, dtype=complex) for d in state.dims]
+    if len(restricted) <= 1:
+        value, degenerate = norm2, False
+        for p in restricted:
+            certificate[p], value, degenerate = _top_eigvecs(
+                _reduced_operator(t, (0,)), swept[p], DEGENERACY_TOL * norm2)
+        converged, agreeing = True, cfg.restarts + 1
+    else:
+        value, converged, agreeing, degenerate = _ascend(
+            state, t, swept, restricted, certificate, norm2, cfg)
+    if raised:
+        degenerate |= _fill_raised(state, certificate, ks, raised, DEGENERACY_TOL * norm2)
+    certificate = ProjectorFrame(tuple(certificate))
     return MonotoneResult(
-        value=float(value[best]),
+        value=objective(state, certificate) if raised else float(value),
         ranks=ks,
-        certificate=ProjectorFrame(tuple(certificate)),
-        converged=bool(converged.all()),
-        restarts_agreeing=int(np.sum(value[best] - value <= AGREEMENT_TOL * norm2)),
-        degenerate=bool(degenerate[best]),
+        certificate=certificate,
+        converged=converged,
+        restarts_agreeing=agreeing,
+        degenerate=bool(degenerate),
     )
 
 

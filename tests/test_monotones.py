@@ -1,5 +1,5 @@
 import itertools
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -235,6 +235,93 @@ def test_rank_class_shares_one_value(spec, ranks):
     assert max(values) - min(values) <= 1e-9
 
 
+def raised_ranks(dims, ks):
+    """ks with k_i -> d_i, in party order against the vector raised so far,
+    wherever 2 <= k_i < d_i and k_i >= prod_{j != i} k_j."""
+    ks = list(ks)
+    for i, d in enumerate(dims):
+        if 2 <= ks[i] < d and ks[i] >= prod(ks[:i] + ks[i + 1:]):
+            ks[i] = d
+    return tuple(ks)
+
+
+RAISED = [(dims, ks) for dims in ((3, 3, 3), (4, 4, 4), (3, 4, 5))
+          for ks in itertools.product(*(range(1, d + 1) for d in dims))
+          if raised_ranks(dims, ks) != ks]
+
+
+def test_every_raisable_rank_vector_is_covered():
+    assert len(RAISED) == 6 + 18 + 22
+    assert ((4, 4, 4), (2, 1, 2)) in RAISED and ((3, 3, 3), (2, 2, 1)) in RAISED
+
+
+@pytest.mark.parametrize("dims, ks", RAISED)
+def test_rank_saturated_parties_are_raised_without_changing_E(dims, ks):
+    # the raised party's conditional operator has rank <= k_i, so solving at
+    # k_i = d_i and filling its frame from that operator afterwards loses
+    # nothing; the result still reports the requested ranks
+    state = haar_random_state(dims, 11)
+    raised = raised_ranks(dims, ks)
+    res, full = solve_E(state, ks, FAST), solve_E(state, raised, FAST)
+    assert abs(res.value - full.value) <= 1e-10 * squared_norm(state)
+    assert res.ranks == ks
+    assert [v.shape for v in res.certificate.frames] == list(zip(dims, ks))
+    assert objective(state, res.certificate) == pytest.approx(res.value, abs=1e-12)
+    for c in (1e-4, 1e4):
+        scaled = solve_E(StateTensor(dims, c * state.amps), ks, FAST)
+        assert scaled.value == pytest.approx(c ** 2 * res.value, rel=1e-10)
+
+
+def test_raised_solve_matches_the_unraised_reference():
+    # the per-start reference sweeps (2,2,1) itself, party 0 included
+    state = catalog.resolve_state("haar:3x3x3:1")
+    value, _, converged, _ = hooi_reference(state, (2, 2, 1), CFG.restarts, CFG.seed)
+    assert converged
+    assert solve_E(state, (2, 2, 1), CFG).value == pytest.approx(value, abs=1e-10)
+
+
+def test_all_ones_class_is_never_raised(monkeypatch):
+    # k_i = 1 keeps the closed-form rank-one steps of the all-ones class
+    calls = []
+    step = monotones._rank_one_step
+    monkeypatch.setattr(monotones, "_rank_one_step",
+                        lambda x, gap_tol: calls.append(x.shape) or step(x, gap_tol))
+    assert raised_ranks((2,) * 4, (1,) * 4) == (1,) * 4
+    solve_E(catalog.resolve_state("haar:2x2x2x2:1"), (1,) * 4, FAST)
+    assert calls
+
+
+def test_haar_starts_are_drawn_once_per_shape(monkeypatch):
+    # the Haar starts depend only on (dims, ranks, seed, restarts): a solve
+    # on another state of the same shape draws nothing and matches a solve
+    # from a fresh draw, byte for byte
+    dims, ks = (4, 4, 4), (2, 2, 2)
+    monotones._haar_starts.cache_clear()
+    solve_E(haar_random_state(dims, 1), ks, FAST)
+    calls = []
+    for name in ("stream_rng", "_haar_frames"):
+        f = getattr(monotones, name)
+        monkeypatch.setattr(monotones, name,
+                            lambda *a, f=f, name=name: calls.append(name) or f(*a))
+    state = haar_random_state(dims, 2)
+    shared = solve_E(state, ks, FAST)
+    assert calls == []
+    monotones._haar_starts.cache_clear()
+    fresh = solve_E(state, ks, FAST)
+    assert calls.count("stream_rng") == FAST.restarts and calls.count("_haar_frames") == 1
+    assert shared.value == fresh.value
+    for a, b in zip(shared.certificate.frames, fresh.certificate.frames):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cached_haar_starts_are_read_only():
+    stacks = monotones._haar_starts(((3, 2), (3, 2), (3, 1)), (0, 1, 2), 0, 4)
+    assert [f.shape for f in stacks] == [(4, 3, 2), (4, 3, 2), (4, 3, 1)]
+    for f in stacks:
+        with pytest.raises(ValueError):
+            f[0, 0, 0] = 1
+
+
 @pytest.mark.parametrize(
     "spec,ks,cfg",
     [("haar:2x2x2:1", (1, 1, 1), CFG),
@@ -255,10 +342,14 @@ def test_rank_class_shares_one_value(spec, ranks):
      ("haar:2x2x2x2x2x2:1", (1,) * 6, SolverConfig(restarts=32, max_iters=1, seed=1))],
 )
 def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
+    # the reference sweeps the vector the solver sweeps: a rank-saturated
+    # party raised to k_i = d_i, as (2,2,1) -> (3,2,1) on 3x3x3, is the
+    # identity there, so after one sweep both agree on the raised problem
     state = catalog.resolve_state(spec)
     res = solve_E(state, ks, cfg)
     value, agreeing, converged, degenerate = hooi_reference(
-        state, ks, cfg.restarts, cfg.seed, max_iters=cfg.max_iters, tol=cfg.tol)
+        state, raised_ranks(state.dims, ks), cfg.restarts, cfg.seed,
+        max_iters=cfg.max_iters, tol=cfg.tol)
     assert res.value == pytest.approx(value, abs=1e-10)
     assert res.restarts_agreeing == agreeing
     assert res.converged == converged

@@ -37,7 +37,7 @@ from entmono.states import (
     state_to_dict,
 )
 
-from conftest import random_states
+from conftest import random_matrix, random_states
 
 
 def test_new_state_ghz(ghz):
@@ -310,6 +310,20 @@ def test_density_op_validation(rng):
         DensityOp((2,), np.diag([1.0, -0.5]))
     with pytest.raises(LengthMismatch):
         DensityOp((2, 2), np.eye(3))
+
+
+def test_density_op_spectrum_and_purification_share_one_eigh(rng):
+    # the eigenpairs behind the positivity check are the spectrum and the
+    # purification psi[e] = sqrt(w_e) v_e, with sum_e psi psi^dag = rho
+    z = random_matrix(rng, 12, 5)
+    m = z @ z.conj().T
+    rho = DensityOp((3, 4), m)
+    scale = np.max(np.abs(m))
+    np.testing.assert_allclose(rho.spectrum(), np.sort(np.linalg.eigvalsh(m))[::-1],
+                               rtol=0, atol=1e-12 * scale)
+    amps = rho._purification.reshape(12, 12)
+    np.testing.assert_allclose(amps.T @ amps.conj(), m, rtol=0, atol=1e-12 * scale)
+    assert not (rho.spectrum().flags.writeable or rho._purification.flags.writeable)
 
 
 def test_state_json_roundtrip(tmp_path, w):
