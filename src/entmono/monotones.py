@@ -2,13 +2,13 @@
 
 The central quantity is the maximal squared norm of a state's projection
 onto a product of local subspaces with prescribed dimensions (k_0, ..,
-k_{N-1}).  Parties with k_i = d_i, or with k_i at least the product of
-the other ranks (raised to d_i, which leaves the value unchanged), take no
-part in the maximization; with
-at most one restricted party left the value has an exact closed form (sum
-of the leading reduced-density eigenvalues), and otherwise multi-start
-alternating maximization over the restricted parties' frames yields a
-certified lower bound.
+k_{N-1}).  Parties with k_i = d_i, or a party with k_i at least the
+product of the other ranks (raised to d_i, which leaves the value
+unchanged), take no part in the maximization; with at most one restricted
+party left the value has an exact closed form (sum of the leading
+reduced-density eigenvalues), and otherwise multi-start alternating
+maximization over the restricted parties' frames yields a certified lower
+bound.
 
 Also here: the classical bipartite background quantities (trace powers,
 elementary symmetric polynomials, majorization, leading-eigenvalue partial
@@ -320,9 +320,9 @@ def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
     each single-party marginal); starts 1.. are the Haar frames of
     ``_haar_starts``, drawn once per (dims, ranks, restricted parties,
     seed, restarts) and shared by every state of that shape.  ``ks`` is
-    the vector the ascent sweeps, rank-saturated parties already raised to
-    d_i (``_raise_saturated``), so a raised solve draws the starts of its
-    raised vector.  Each stack returned is a fresh, writable concatenation.
+    the vector the ascent sweeps, with the rank-saturated party (if any)
+    already raised to d_i (``_raise_saturated``), so a raised solve draws
+    the starts of its raised vector.  Each stack returned is a fresh, writable concatenation.
     """
     haar = _haar_starts(tuple(zip(state.dims, ks)), tuple(restricted), cfg.seed,
                         cfg.restarts)
@@ -331,46 +331,38 @@ def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
     return [np.concatenate([s[None], f]) for s, f in zip(spectral, haar)]
 
 
-def _raise_saturated(dims: Sequence[int],
-                     ks: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
-    """Ranks with each rank-saturated party raised to its dimension, and the
-    raised parties in the order they were raised.
+def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
+    """The rank-saturated party to raise to its dimension, or None.
 
     Party i's conditional operator has rank at most prod_{j != i} k_j, so
     when 2 <= k_i < d_i and k_i reaches that product, its top-k_i
     eigenvectors hold all of its weight and the identity does no better:
-    E is unchanged by k_i -> d_i.  The parties are walked in party order
-    against the vector raised so far.  k_i = 1 is never raised, which
-    keeps the closed-form rank-one steps of the all-ones class.
+    E is unchanged by k_i -> d_i.  At most one party can be raised: after
+    raising i (k_i >= k_j Q, Q the product of the ranks other than k_i and
+    k_j), j would need k_j >= d_i Q > k_i Q >= k_j Q^2 >= k_j.  So the first
+    saturated party is the one.  k_i = 1 is never raised, which keeps the
+    closed-form rank-one steps of the all-ones class.
     """
-    swept, raised = list(ks), []
     for i, d in enumerate(dims):
-        if 2 <= swept[i] < d and swept[i] >= prod(swept[:i] + swept[i + 1:]):
-            swept[i] = d
-            raised.append(i)
-    return tuple(swept), raised
+        if 2 <= ks[i] < d and ks[i] >= prod(ks[:i] + ks[i + 1:]):
+            return i
+    return None
 
 
-def _fill_raised(state: StateTensor, certificate: list[np.ndarray], ks: tuple[int, ...],
-                 raised: Sequence[int], gap_tol: float) -> bool:
-    """Give each raised party its d_i x k_i frame, in reverse raise order.
-
-    Each frame is the top-k_i eigenvectors of the party's conditional
-    operator given the other parties' final frames.  Filled in reverse,
-    every party raised before i still has the identity, so that operator
-    has the rank bound that raised i and the frame keeps the objective.
-    Returns whether any fill's cut was degenerate.
+def _fill_raised(state: StateTensor, certificate: list[np.ndarray], k: int, i: int,
+                 gap_tol: float) -> bool:
+    """Give raised party i its d_i x k frame: the top-k eigenvectors of its
+    conditional operator given the other parties' final frames, which has
+    the rank bound that raised i, so the objective is kept.  Returns whether
+    the cut was degenerate.
     """
     t, parties = state.tensor(), list(range(state.n_parties))
     stacks = [v[None] for v in certificate]
-    degenerate = False
-    for i in reversed(raised):
-        others = [p for p in parties if p != i and certificate[p].shape[1] < state.dims[p]]
-        x, layout = _contract(t, parties, stacks, others) if others else (t[None], parties)
-        frame, _, cut = _party_step(x, layout, i, ks[i], gap_tol)
-        certificate[i], stacks[i] = frame[0], frame
-        degenerate |= bool(cut[0])
-    return degenerate
+    others = [p for p in parties if p != i and certificate[p].shape[1] < state.dims[p]]
+    x, layout = _contract(t, parties, stacks, others) if others else (t[None], parties)
+    frame, _, cut = _party_step(x, layout, i, k, gap_tol)
+    certificate[i] = frame[0]
+    return bool(cut[0])
 
 
 def _ascend(state: StateTensor, t: np.ndarray, ks: tuple[int, ...], restricted: list[int],
@@ -453,7 +445,8 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     """
     cfg = cfg or SolverConfig()
     ks = _check_ranks(state.dims, ks)
-    swept, raised = _raise_saturated(state.dims, ks)
+    raised = _raise_saturated(state.dims, ks)
+    swept = ks if raised is None else ks[:raised] + (state.dims[raised],) + ks[raised + 1:]
     restricted = [p for p, (k, d) in enumerate(zip(swept, state.dims)) if k < d]
     others = [p for p in range(state.n_parties) if p not in restricted]
     t = state.tensor().transpose(restricted + others).reshape(
@@ -469,11 +462,12 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     else:
         value, converged, agreeing, degenerate = _ascend(
             state, t, swept, restricted, certificate, norm2, cfg)
-    if raised:
-        degenerate |= _fill_raised(state, certificate, ks, raised, DEGENERACY_TOL * norm2)
+    if raised is not None:
+        degenerate |= _fill_raised(state, certificate, ks[raised], raised,
+                                   DEGENERACY_TOL * norm2)
     certificate = ProjectorFrame(tuple(certificate))
     return MonotoneResult(
-        value=objective(state, certificate) if raised else float(value),
+        value=float(value) if raised is None else objective(state, certificate),
         ranks=ks,
         certificate=certificate,
         converged=converged,

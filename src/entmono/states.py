@@ -11,6 +11,7 @@ Conventions frozen for the whole package:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from math import prod
@@ -119,22 +120,15 @@ class DensityOp:
                 f"operator is not Hermitian within {HERMITICITY_TOL:g} of its "
                 f"largest entry {scale:.3g} (max deviation {skew:.3g})"
             )
-        # the one diagonalization: it feeds the positivity check, spectrum()
-        # and the purification
-        w, v = np.linalg.eigh(0.5 * (mat + mat.conj().T))
-        if w[0] < -PSD_TOL * scale:
-            raise NotPositive(f"operator has negative eigenvalue {w[0]:.3g}")
-        w = np.maximum(w, 0.0)
-        spectrum = w[::-1].copy()
-        # psi[e, i_0, ..., i_{N-1}] = sqrt(w_e) v_e over the eigenpairs
-        amps = (v * np.sqrt(w)).T.reshape((-1,) + dims)
+        least, spectrum = _spectrum(mat)
+        if least < -PSD_TOL * scale:
+            raise NotPositive(f"operator has negative eigenvalue {least:.3g}")
         mat = mat.copy()
-        for a in (mat, spectrum, amps):
-            a.setflags(write=False)
+        mat.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "_eigenvalues", spectrum)
-        object.__setattr__(self, "_purification", amps)
 
     @property
     def n_parties(self) -> int:
@@ -143,9 +137,18 @@ class DensityOp:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
+    @functools.cached_property
+    def _purification(self) -> np.ndarray:
+        """psi[e, i_0, ..., i_{N-1}] = sqrt(w_e) v_e over the eigenpairs, with
+        negative round-off eigenvalues clipped to 0; diagonalized once."""
+        w, v = np.linalg.eigh(self.matrix)
+        amps = (v * np.sqrt(np.clip(w, 0.0, None))).T.reshape((-1,) + self.dims)
+        amps.setflags(write=False)
+        return amps
+
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in decreasing order, clipped at zero (read-only; those
-        of the positivity check and of ``_purification``)."""
+        of the positivity check)."""
         return self._eigenvalues
 
 

@@ -312,9 +312,9 @@ def test_density_op_validation(rng):
         DensityOp((2, 2), np.eye(3))
 
 
-def test_density_op_spectrum_and_purification_share_one_eigh(rng):
-    # the eigenpairs behind the positivity check are the spectrum and the
-    # purification psi[e] = sqrt(w_e) v_e, with sum_e psi psi^dag = rho
+def test_density_op_spectrum_and_purification_agree(rng):
+    # the positivity check's eigenvalues are the spectrum, and the
+    # purification psi[e] = sqrt(w_e) v_e has sum_e psi psi^dag = rho
     z = random_matrix(rng, 12, 5)
     m = z @ z.conj().T
     rho = DensityOp((3, 4), m)
