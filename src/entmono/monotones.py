@@ -322,7 +322,8 @@ def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
     seed, restarts) and shared by every state of that shape.  ``ks`` is
     the vector the ascent sweeps, with the rank-saturated party (if any)
     already raised to d_i (``_raise_saturated``), so a raised solve draws
-    the starts of its raised vector.  Each stack returned is a fresh, writable concatenation.
+    the starts of its raised vector.  Each stack returned is a fresh,
+    writable concatenation.
     """
     haar = _haar_starts(tuple(zip(state.dims, ks)), tuple(restricted), cfg.seed,
                         cfg.restarts)
@@ -337,11 +338,12 @@ def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
     Party i's conditional operator has rank at most prod_{j != i} k_j, so
     when 2 <= k_i < d_i and k_i reaches that product, its top-k_i
     eigenvectors hold all of its weight and the identity does no better:
-    E is unchanged by k_i -> d_i.  At most one party can be raised: after
-    raising i (k_i >= k_j Q, Q the product of the ranks other than k_i and
-    k_j), j would need k_j >= d_i Q > k_i Q >= k_j Q^2 >= k_j.  So the first
-    saturated party is the one.  k_i = 1 is never raised, which keeps the
-    closed-form rank-one steps of the all-ones class.
+    E is unchanged by k_i -> d_i.  Once a party is raised no other is
+    saturated: with Q the product of the ranks other than k_i and k_j, i
+    saturated means k_i >= k_j Q, and j saturated after i is raised would
+    need k_j >= d_i Q > k_i Q >= k_j Q^2 >= k_j.  So only the first
+    saturated party is raised.  k_i = 1 is never raised, which keeps
+    the closed-form rank-one steps of the all-ones class.
     """
     for i, d in enumerate(dims):
         if 2 <= ks[i] < d and ks[i] >= prod(ks[:i] + ks[i + 1:]):
@@ -349,7 +351,7 @@ def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
     return None
 
 
-def _fill_raised(state: StateTensor, certificate: list[np.ndarray], k: int, i: int,
+def _fill_raised(state: StateTensor, certificate: list[np.ndarray], i: int, k: int,
                  gap_tol: float) -> bool:
     """Give raised party i its d_i x k frame: the top-k eigenvectors of its
     conditional operator given the other parties' final frames, which has
@@ -463,7 +465,7 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
         value, converged, agreeing, degenerate = _ascend(
             state, t, swept, restricted, certificate, norm2, cfg)
     if raised is not None:
-        degenerate |= _fill_raised(state, certificate, ks[raised], raised,
+        degenerate |= _fill_raised(state, certificate, raised, ks[raised],
                                    DEGENERACY_TOL * norm2)
     certificate = ProjectorFrame(tuple(certificate))
     return MonotoneResult(
