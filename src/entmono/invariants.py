@@ -192,9 +192,10 @@ def local_unitary_invariance_check(
     """Evaluate ``target`` on random local-unitary transforms of the state.
 
     ``target`` may be a ContractionExpr, a builtin name ("I6", "tangle"),
-    or any callable StateTensor -> number.  The largest deviation passes
-    when it is at most ``LU_TOL`` times max(|baseline|, ||psi||^n), n the
-    target's number of psi/psi* factors (0 for a callable).
+    contraction text, or any callable StateTensor -> number.  The largest
+    deviation passes when it is at most ``LU_TOL`` times
+    max(|baseline|, ||psi||^n), n the target's number of psi/psi* factors
+    (0 for a callable).
     """
     if trials < 1:
         raise BadParameter(f"need at least one trial, got {trials}")
@@ -214,16 +215,28 @@ def _degree(expr: ContractionExpr) -> int:
     return sum(f.kind in (PSI, PSI_CONJ) for f in expr.factors)
 
 
+def _resolve_invariant(spec) -> tuple[str, ContractionExpr]:
+    """(name, expression) of an invariant given as a ContractionExpr, a
+    built-in name or contraction text.  A string with no ``[`` has no
+    factor, so it must name a built-in; any other string is parsed."""
+    if isinstance(spec, ContractionExpr):
+        return str(spec), spec
+    if isinstance(spec, str):
+        if "[" in spec:
+            return spec, parse_contraction(spec)
+        if spec in BUILTIN_PATTERN_TEXT:
+            return spec, _parsed_builtins()[spec]
+        raise KeyError(f"unknown invariant name {spec!r}")
+    raise TypeError(f"invariant spec must be text or ContractionExpr, not {type(spec).__name__}")
+
+
 def _as_evaluator(target) -> tuple[Callable[[StateTensor], complex], int]:
     """(evaluator, degree in the amplitudes) of an LU-check target."""
-    if isinstance(target, ContractionExpr):
-        return (lambda s: eval_contraction(target, s).value), _degree(target)
     if callable(target):
         return target, 0
-    if isinstance(target, str):
-        if target == "tangle":
-            return tangle, _degree(_tangle_expr())
-        if target in BUILTIN_PATTERN_TEXT:
-            return (lambda s: _builtin_value(target, s)), _degree(_parsed_builtins()[target])
-        raise KeyError(f"unknown invariant name {target!r}")
-    raise TypeError(f"cannot evaluate target of type {type(target).__name__}")
+    if isinstance(target, str) and target == "tangle":
+        return tangle, _degree(_tangle_expr())
+    name, expr = _resolve_invariant(target)
+    if name in BUILTIN_PATTERN_TEXT:
+        return (lambda s: _builtin_value(name, s)), _degree(expr)
+    return (lambda s: eval_contraction(expr, s).value), _degree(expr)

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .contractions import ContractionExpr, eval_contraction, is_simple_form, parse_contraction
+from .contractions import eval_contraction, is_simple_form
 from .errors import BadGrouping, BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
-from .invariants import BUILTIN_PATTERN_TEXT, _multiplicativity, builtin_patterns
+from .invariants import _multiplicativity, _resolve_invariant
 from .monotones import (
     SolverConfig,
     _check_ranks,
@@ -89,7 +89,11 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
     The items of a class name one monotone, which a profile evaluates once:
     E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j), because party
     i's conditional operator has at most that rank, so the class item holds
-    the fixed point of that map; on two blocks this is min(k1, k2) twice.
+    the image of that map; on two blocks this is min(k1, k2) twice.  One
+    application is already a fixed point: it lowers at most one party
+    (the argument of ``monotones._raise_saturated``), and the lowered k_i
+    is the product of the others, which leaves every other party at or
+    below its own product.
     """
     classes: dict[RankItem, int] = {}
     index = []
@@ -98,8 +102,7 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
         if g is not None and g.n_parties != len(dims):
             raise BadGrouping(f"grouping covers {g.n_parties} parties, state has {len(dims)}")
         ks = _check_ranks(dims if g is None else g.block_dims(dims), item.ranks)
-        while (low := tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))) != ks:
-            ks = low
+        ks = tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))
         index.append(classes.setdefault(RankItem(g, ks), len(classes)))
     return tuple(classes), tuple(index)
 
@@ -228,29 +231,26 @@ def compare_dlocc(
     values, blocked = [], []
     for rank_class, (e_a, res_a), (e_b, res_b) in zip(
             classes, _profile(a, classes, cfg), _profile(b, classes, cfg)):
-        # candidate witnesses; firm up the (possibly undersolved) low side
-        # and judge it against the configuration that produced it
-        cfg_a = cfg_b = cfg
-        if e_b < e_a - tol:
-            e_b, res_b, cfg_b = _confirm_low_side(b, rank_class, cfg, res_b, e_b)
-        elif e_a < e_b - tol:
-            e_a, res_a, cfg_a = _confirm_low_side(a, rank_class, cfg, res_a, e_a)
+        # candidate witnesses: firm up the (possibly undersolved) low side
+        low_a, low_b = e_a < e_b - tol, e_b < e_a - tol
+        e_a, trusted_a = _confirm_low_side(a, rank_class, cfg, res_a, e_a, low_a)
+        e_b, trusted_b = _confirm_low_side(b, rank_class, cfg, res_b, e_b, low_b)
         values.append((e_a, e_b))
-        blocked.append((e_b < e_a - tol and _trusted(res_b, cfg_b),
-                        e_a < e_b - tol and _trusted(res_a, cfg_a)))
+        blocked.append((e_b < e_a - tol and trusted_b, e_a < e_b - tol and trusted_a))
     return ComparisonReport(items, index, values, blocked)
 
 
-def _trusted(res, cfg: SolverConfig) -> bool:
-    return res is None or result_is_trusted(res, cfg)
-
-
-def _confirm_low_side(state, rank_class, cfg, res, value):
-    """(value, result, config used), escalating the restarts if untrusted."""
-    if res is not None and not result_is_trusted(res, cfg):
+def _confirm_low_side(state, rank_class, cfg, res, value, low: bool):
+    """(value, trusted) of one side of a rank class.  An untrusted low side
+    is re-solved once with escalated restarts; the result is judged against
+    the configuration that produced it, and a value read from a Schmidt
+    spectrum (no result) is always trusted."""
+    if res is None:
+        return value, True
+    if low and not result_is_trusted(res, cfg):
         cfg = escalate(cfg)
         value, res = _solve(state, rank_class, cfg)
-    return value, res, cfg
+    return value, result_is_trusted(res, cfg)
 
 
 @dataclass(frozen=True)
@@ -355,16 +355,6 @@ class CopyRatioReport:
             "feasible_copy_ratios": [list(p) for p in self.feasible],
             "odot_check_passed": self.odot_check_passed,
         }
-
-
-def _resolve_invariant(spec) -> tuple[str, ContractionExpr]:
-    if isinstance(spec, ContractionExpr):
-        return str(spec), spec
-    if isinstance(spec, str):
-        if spec in BUILTIN_PATTERN_TEXT:
-            return spec, builtin_patterns()[spec]
-        return spec, parse_contraction(spec)
-    raise TypeError(f"invariant spec must be text or ContractionExpr, not {type(spec).__name__}")
 
 
 def copy_ratio_feasibility(

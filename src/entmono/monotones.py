@@ -4,11 +4,12 @@ The central quantity is the maximal squared norm of a state's projection
 onto a product of local subspaces with prescribed dimensions (k_0, ..,
 k_{N-1}).  Parties with k_i = d_i, or a party with k_i at least the
 product of the other ranks (raised to d_i, which leaves the value
-unchanged), take no part in the maximization; with at most one restricted
-party left the value has an exact closed form (sum of the leading
-reduced-density eigenvalues), and otherwise multi-start alternating
-maximization over the restricted parties' frames yields a certified lower
-bound.
+unchanged), take no part in the maximization.  With two or more
+restricted parties left, multi-start alternating maximization over their
+frames yields a certified lower bound.  Every other frame is filled with
+the top-k_i eigenvectors of that party's operator given the other
+parties' frames: a lone restricted party's fill is the exact closed form
+(sum of the leading reduced-density eigenvalues).
 
 Also here: the classical bipartite background quantities (trace powers,
 elementary symmetric polynomials, majorization, leading-eigenvalue partial
@@ -37,7 +38,7 @@ from .states import (
     DensityOp,
     PartyGrouping,
     StateTensor,
-    _reduced_operator,
+    _check_covers,
     schmidt_values,
     squared_norm,
 )
@@ -199,6 +200,7 @@ def bipartite_E(state: StateTensor, grouping: PartyGrouping, k1: int, k2: int) -
     """Exact two-block value: the nielsen_E partial sum at min(k1, k2)."""
     if len(grouping.blocks) != 2:
         raise BadGrouping("bipartite_E needs a two-block grouping")
+    _check_covers(grouping, state)
     d1, d2 = grouping.block_dims(state.dims)
     if not (1 <= k1 <= d1) or not (1 <= k2 <= d2):
         raise BadRank(f"ranks ({k1}, {k2}) outside block dims ({d1}, {d2})")
@@ -327,9 +329,9 @@ def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
     """
     haar = _haar_starts(tuple(zip(state.dims, ks)), tuple(restricted), cfg.seed,
                         cfg.restarts)
-    spectral = [_top_eigvecs(_reduced_operator(state.tensor(), (p,)), ks[p], 0.0)[0]
-                for p in restricted]
-    return [np.concatenate([s[None], f]) for s, f in zip(spectral, haar)]
+    t, parties = state.tensor()[None], list(range(state.n_parties))
+    spectral = [_party_step(t, parties, p, ks[p], 0.0)[0] for p in restricted]
+    return [np.concatenate([s, f]) for s, f in zip(spectral, haar)]
 
 
 def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
@@ -351,32 +353,36 @@ def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
     return None
 
 
-def _fill_raised(state: StateTensor, certificate: list[np.ndarray], i: int, k: int,
-                 gap_tol: float) -> bool:
-    """Give raised party i its d_i x k frame: the top-k eigenvectors of its
-    conditional operator given the other parties' final frames, which has
-    the rank bound that raised i, so the objective is kept.  Returns whether
-    the cut was degenerate.
+def _fill(state: StateTensor, certificate: list[np.ndarray], p: int, k: int,
+          gap_tol: float) -> tuple[float, bool]:
+    """Give party p its d_p x k frame: the top-k eigenvectors of its
+    conditional operator given the other parties' frames in
+    ``certificate``.  Returns the top-k eigenvalue sum, which is the
+    objective of the filled certificate, and whether the cut was
+    degenerate.
     """
     t, parties = state.tensor(), list(range(state.n_parties))
     stacks = [v[None] for v in certificate]
-    others = [p for p in parties if p != i and certificate[p].shape[1] < state.dims[p]]
+    others = [q for q in parties if q != p and certificate[q].shape[1] < state.dims[q]]
     x, layout = _contract(t, parties, stacks, others) if others else (t[None], parties)
-    frame, _, cut = _party_step(x, layout, i, k, gap_tol)
-    certificate[i] = frame[0]
-    return bool(cut[0])
+    frame, top, cut = _party_step(x, layout, p, k, gap_tol)
+    certificate[p] = frame[0]
+    return float(top[0]), bool(cut[0])
 
 
-def _ascend(state: StateTensor, t: np.ndarray, ks: tuple[int, ...], restricted: list[int],
+def _ascend(state: StateTensor, ks: tuple[int, ...], restricted: list[int],
             certificate: list[np.ndarray], norm2: float, cfg: SolverConfig):
     """Multi-start HOOI over the restricted parties (``solve_E``).
 
-    t is psi with the restricted parties' axes first, in party order, and
-    the unrestricted ones folded into one trailing axis.  Writes the best
-    start's frames into ``certificate`` and returns (best value, all
-    starts converged, starts agreeing with the best, degenerate cut at the
-    best start).
+    The ascent runs on psi with the restricted parties' axes first, in
+    party order, and the unrestricted ones folded into one trailing axis.
+    Writes the best start's frames into ``certificate`` and returns (best
+    value, all starts converged, starts agreeing with the best, degenerate
+    cut at the best start).
     """
+    others = [p for p in range(state.n_parties) if p not in restricted]
+    t = state.tensor().transpose(restricted + others).reshape(
+        [state.dims[p] for p in restricted] + [-1])
     frames = _starts(state, ks, restricted, cfg)
     n_starts = frames[0].shape[0]
     value = np.zeros(n_starts)
@@ -418,12 +424,14 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     trailing axis of the state tensor that is never projected.  A
     rank-saturated party (2 <= k_i < d_i, k_i >= prod_{j != i} k_j) is
     first raised to k_i = d_i, which leaves E unchanged
-    (``_raise_saturated``), and gets its d_i x k_i frame after the solve
-    (``_fill_raised``); the value is then the certificate's objective.
-    With at most one restricted party the value is closed form: the
-    squared norm, or the top-k eigenvalue sum of that party's marginal.
-    Otherwise it runs ``cfg.restarts`` Haar-random starts, drawn once per
-    shape (``_starts``), plus one deterministic start seeded from the
+    (``_raise_saturated``).  With no restricted party the value is the
+    squared norm.  A lone restricted party is filled (``_fill``) given the
+    identity on every other party: its frame is the top-k eigenvectors of
+    its marginal and the value, their eigenvalue sum, is closed form.  A
+    raised party is filled last, given the final frames, and the value is
+    that fill's eigenvalue sum.  Two or more restricted parties run
+    ``cfg.restarts`` Haar-random starts, drawn once per shape
+    (``_starts``), plus one deterministic start seeded from the
     single-party marginal spectra.  This is HOOI
     (higher-order orthogonal iteration): each party step sets that party's
     frame to the top-k eigenvectors of its conditional reduced operator,
@@ -440,8 +448,9 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     leaves the sweep once its own per-sweep gain is at most ``cfg.tol``
     times the squared norm.
 
-    The value is a certified lower bound: it is exactly the objective of
-    the returned certificate (the identity on unrestricted parties).
+    The value is a certified lower bound: it is the objective of the
+    returned certificate (the identity on unrestricted parties), up to
+    round-off.
     ``restarts_agreeing`` counts starts that landed within 1e-8 (relative
     to the squared norm) of the best, as a crude confidence signal.
     """
@@ -450,28 +459,22 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     raised = _raise_saturated(state.dims, ks)
     swept = ks if raised is None else ks[:raised] + (state.dims[raised],) + ks[raised + 1:]
     restricted = [p for p, (k, d) in enumerate(zip(swept, state.dims)) if k < d]
-    others = [p for p in range(state.n_parties) if p not in restricted]
-    t = state.tensor().transpose(restricted + others).reshape(
-        [state.dims[p] for p in restricted] + [-1])
     norm2 = squared_norm(state)
     certificate = [np.eye(d, dtype=complex) for d in state.dims]
-    if len(restricted) <= 1:
-        value, degenerate = norm2, False
-        for p in restricted:
-            certificate[p], value, degenerate = _top_eigvecs(
-                _reduced_operator(t, (0,)), swept[p], DEGENERACY_TOL * norm2)
-        converged, agreeing = True, cfg.restarts + 1
-    else:
+    value, converged, agreeing, degenerate = norm2, True, cfg.restarts + 1, False
+    filled = [] if raised is None else [raised]
+    if len(restricted) > 1:
         value, converged, agreeing, degenerate = _ascend(
-            state, t, swept, restricted, certificate, norm2, cfg)
-    if raised is not None:
-        degenerate |= _fill_raised(state, certificate, raised, ks[raised],
-                                   DEGENERACY_TOL * norm2)
-    certificate = ProjectorFrame(tuple(certificate))
+            state, swept, restricted, certificate, norm2, cfg)
+    else:
+        filled = restricted + filled
+    for p in filled:
+        value, cut = _fill(state, certificate, p, ks[p], DEGENERACY_TOL * norm2)
+        degenerate |= cut
     return MonotoneResult(
-        value=float(value) if raised is None else objective(state, certificate),
+        value=float(value),
         ranks=ks,
-        certificate=certificate,
+        certificate=ProjectorFrame(tuple(certificate)),
         converged=converged,
         restarts_agreeing=agreeing,
         degenerate=bool(degenerate),
@@ -487,10 +490,7 @@ def E_ensemble(members: Sequence[StateTensor], ks: Sequence[int],
 def coarse_grain(state: StateTensor, grouping: PartyGrouping) -> StateTensor:
     """Reinterpret blocks of parties as single parties (amplitudes unchanged
     when the blocks are in natural order)."""
-    if grouping.n_parties != state.n_parties:
-        raise BadGrouping(
-            f"grouping covers {grouping.n_parties} parties, state has {state.n_parties}"
-        )
+    _check_covers(grouping, state)
     perm = tuple(p for b in grouping.blocks for p in b)
     t = state.tensor().transpose(perm)
     return StateTensor(grouping.block_dims(state.dims), t.reshape(-1), state.label)

@@ -1,7 +1,9 @@
 """Brute-force estimators used as independent cross-checks in the tests.
 
-Nothing here feeds the main computations; the point is that these paths
-share no code with the solver: not even the objective is evaluated through it.
+Nothing here feeds the main computations.  The estimators share with the
+solver only the rank check (``_check_ranks``) and the batched Haar draw
+(``rng._haar_frames``); they evaluate the objective with their own einsum,
+never through the solver's contraction or eigenvector steps.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from math import prod
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,11 +51,10 @@ def _spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), np.maximum(w[::-1], 0.0)
 
 
-def _reduced_operator(t: np.ndarray, keep: Sequence[int],
-                      rest: Sequence[int] | None = None) -> np.ndarray:
+def _reduced_operator(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     """X X^dag for X the tensor with the ``keep`` axes as rows and the
-    ``rest`` axes (by default the others, ascending) as columns."""
-    rest = [p for p in range(t.ndim) if p not in keep] if rest is None else rest
+    others, ascending, as columns."""
+    rest = [p for p in range(t.ndim) if p not in keep]
     x = t.transpose(tuple(keep) + tuple(rest)).reshape(prod(t.shape[p] for p in keep), -1)
     return x @ x.conj().T
 
@@ -113,6 +113,8 @@ class DensityOp:
             raise LengthMismatch(
                 f"operator shape {mat.shape} does not match dims {list(dims)}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise LengthMismatch("operator entries must be finite")
         scale = float(np.max(np.abs(mat)))
         skew = float(np.max(np.abs(mat - mat.conj().T)))
         if skew > HERMITICITY_TOL * scale:
@@ -186,6 +188,13 @@ class PartyGrouping:
 
     def block_dims(self, dims: Sequence[int]) -> tuple[int, ...]:
         return tuple(prod(dims[p] for p in b) for b in self.blocks)
+
+
+def _check_covers(grouping: PartyGrouping, state: StateTensor) -> None:
+    if grouping.n_parties != state.n_parties:
+        raise BadGrouping(
+            f"grouping covers {grouping.n_parties} parties, state has {state.n_parties}"
+        )
 
 
 def new_state(dims: Sequence[int], amps, label: str | None = None) -> StateTensor:
@@ -265,11 +274,8 @@ def schmidt_values(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
     """
     if len(grouping.blocks) != 2:
         raise BadGrouping("schmidt_values needs exactly two blocks")
-    if grouping.n_parties != state.n_parties:
-        raise BadGrouping(
-            f"grouping covers {grouping.n_parties} parties, state has {state.n_parties}"
-        )
-    return _spectrum(_reduced_operator(state.tensor(), *grouping.blocks))[1]
+    _check_covers(grouping, state)
+    return _spectrum(_reduced_operator(state.tensor(), grouping.blocks[0]))[1]
 
 
 def apply_local_unitaries(state: StateTensor, units: Sequence[np.ndarray]) -> StateTensor:
@@ -338,16 +344,27 @@ def state_to_dict(state: StateTensor) -> dict:
     }
 
 
+def _is_number(x, kind) -> bool:
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def state_from_dict(data: dict) -> StateTensor:
+    if not isinstance(data, dict):
+        raise LengthMismatch(f"state record must be an object, got {type(data).__name__}")
     try:
         dims = data["dims"]
         raw = data["amps"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise LengthMismatch(f"state record is missing field {exc}") from None
+    if not isinstance(dims, (list, tuple)) or not all(_is_number(d, Integral) for d in dims):
+        raise BadDimension(f"dims must be a list of integers, got {dims!r}")
+    if not isinstance(raw, (list, tuple)):
+        raise LengthMismatch("amps must be a list of [re, im] pairs")
     amps = []
     for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise LengthMismatch("each amplitude must be a [re, im] pair")
+        if (not isinstance(entry, (list, tuple)) or len(entry) != 2
+                or not all(_is_number(x, Real) for x in entry)):
+            raise LengthMismatch("each amplitude must be a [re, im] pair of numbers")
         amps.append(complex(entry[0], entry[1]))
     return StateTensor(tuple(dims), np.array(amps, dtype=complex), data.get("label"))
 

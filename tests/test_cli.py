@@ -67,6 +67,20 @@ def test_eval_from_file(tmp_path, capsys):
     assert "0.5" in out
 
 
+@pytest.mark.parametrize("record", [
+    {"dims": "ab", "amps": []},
+    {"dims": None, "amps": []},
+    {"dims": [2], "amps": [["a", "b"], [0, 0]]},
+    [1, 2],
+])
+def test_eval_rejects_malformed_state_files(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    code, out, err = run(capsys, "eval", "--state", str(path), "--ranks", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_eval_haar_spec(capsys):
     code, out, err = run(
         capsys, "eval", "--state", "haar:2x2:7", "--ranks", "1,1", "--json"

@@ -18,6 +18,7 @@ from entmono.errors import (
 )
 from entmono import invariants
 from entmono.invariants import (
+    BUILTIN_PATTERN_TEXT,
     TANGLE_TEXT,
     builtin_invariants,
     builtin_patterns,
@@ -252,6 +253,17 @@ def test_lu_invariance_delta_contracted_expression(ghz):
 def test_lu_invariance_unknown_name(ghz):
     with pytest.raises(KeyError):
         local_unitary_invariance_check("I99", ghz)
+
+
+def test_lu_invariance_reads_contraction_text(w):
+    # text with a factor is parsed, as copy_ratio_feasibility parses it
+    text = BUILTIN_PATTERN_TEXT["I4_1"]
+    state = haar_random_state((2, 3, 2), 4)
+    for s in (w, state):
+        by_text = local_unitary_invariance_check(text, s, trials=4, seed=2)
+        assert by_text == local_unitary_invariance_check(parse_contraction(text), s,
+                                                          trials=4, seed=2)
+        assert by_text.passed
 
 
 @pytest.mark.parametrize("trials", [0, -3])

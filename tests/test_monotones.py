@@ -100,6 +100,12 @@ def test_bipartite_E_bad_rank():
         bipartite_E(s, PartyGrouping(((0, 1),)), 1, 1)
 
 
+def test_bipartite_E_checks_the_party_count():
+    # a three-party grouping on a two-party state, before its block dims
+    with pytest.raises(BadGrouping):
+        bipartite_E(haar_random_state((3, 4), 1), PartyGrouping.split((0,), 3), 1, 1)
+
+
 # -- the solver on the reference states --
 
 @pytest.mark.parametrize(
@@ -169,11 +175,17 @@ def test_certificate_frames_own_their_memory(ks):
 
 
 def test_solver_matches_closed_form_when_reducible():
-    for i, s in enumerate(random_states((3, 2, 2), 6, seed=30)):
-        k0 = 1 + i % 3
-        res = solve_E(s, (k0, 2, 2), FAST)
-        want = bipartite_E(s, PartyGrouping.split({0}, 3), k0, 4)
+    # one restricted party is filled given the identity on the others; on
+    # 5x2x2 at (2,2,1) party 0 is raised and filled after party 2
+    rows = [(s, (1 + i % 3, 2, 2), PartyGrouping.split({0}, 3), 1 + i % 3)
+            for i, s in enumerate(random_states((3, 2, 2), 6, seed=30))]
+    rows.append((haar_random_state((5, 2, 2), 3), (2, 2, 1), PartyGrouping.split({2}, 3), 1))
+    for s, ks, split, k in rows:
+        res = solve_E(s, ks, FAST)
+        want = bipartite_E(s, split, k, 4)
         assert res.value == pytest.approx(want, abs=1e-8)
+        assert abs(objective(s, res.certificate) - res.value) <= 1e-12 * squared_norm(s)
+    assert monotones._raise_saturated((5, 2, 2), (2, 2, 1)) == 0
 
 
 def test_solver_bipartite_matches_closed_form():
@@ -255,16 +267,26 @@ def test_every_raisable_rank_vector_is_covered():
     assert ((4, 4, 4), (2, 1, 2)) in RAISED and ((3, 3, 3), (2, 2, 1)) in RAISED
 
 
+def lowered_ranks(ks):
+    """One application of the rank-class map k_i -> min(k_i, prod_{j != i} k_j)."""
+    return tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_at_most_one_party_is_raised(n):
     # walking every party against the vector raised so far never raises a
-    # second one, so the solver raises only the first saturated party
+    # second one, so the solver raises only the first saturated party; by
+    # the same argument the rank-class map lowers at most one party, and
+    # one application is its fixed point
     for dims in itertools.product(range(2, 6), repeat=n):
         for ks in itertools.product(*(range(1, d + 1) for d in dims)):
             walked = raised_ranks(dims, ks)
             i = monotones._raise_saturated(dims, ks)
             changed = [p for p in range(n) if walked[p] != ks[p]]
             assert changed == ([] if i is None else [i])
+            low = lowered_ranks(ks)
+            assert lowered_ranks(low) == low
+            assert sum(a != b for a, b in zip(low, ks)) <= 1
 
 
 @pytest.mark.parametrize("dims, ks", RAISED)

@@ -310,6 +310,10 @@ def test_density_op_validation(rng):
         DensityOp((2,), np.diag([1.0, -0.5]))
     with pytest.raises(LengthMismatch):
         DensityOp((2, 2), np.eye(3))
+    # NaN and inf entries would otherwise pass both checks
+    for bad in (np.nan, np.inf):
+        with pytest.raises(LengthMismatch):
+            DensityOp((2,), np.diag([bad, 1.0]))
 
 
 def test_density_op_spectrum_and_purification_agree(rng):
