@@ -28,7 +28,7 @@ import re
 import string
 import warnings
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 from typing import Callable, Iterable
 
 import numpy as np
@@ -41,6 +41,7 @@ from .errors import (
     EpsDimensionError,
     IndexArityError,
     SlotArityError,
+    ValueOverflow,
 )
 from .states import DensityOp, StateTensor
 
@@ -267,7 +268,15 @@ def eval_contraction(expr: ContractionExpr, state) -> InvariantValue:
     value = complex(np.einsum(subscripts, *(tensor[k] for k in kinds), optimize=path))
     # round-off in the imaginary part scales with the summands, whose size
     # is the state's weight to the number of psi/psi* pairs
-    scale = max(abs(value), float(np.vdot(amps, amps).real) ** kinds.count(PSI))
+    degree = kinds.count(PSI)
+    try:
+        scale = max(abs(value), float(np.vdot(amps, amps).real) ** degree)
+    except OverflowError:
+        scale = float("inf")
+    if not isfinite(scale):
+        raise ValueOverflow(
+            f"the degree-{degree} contraction overflows: its value or the state's "
+            f"weight to the power {degree} exceeds the float range")
     return InvariantValue(value, expr.balanced and abs(value.imag) > REAL_TOL * scale)
 
 

@@ -95,6 +95,10 @@ class DegreeImbalanceError(EntmonoError):
     """Unequal psi and psi* factors evaluated on a density operator."""
 
 
+class ValueOverflow(EntmonoError):
+    """A contraction's value, or its round-off scale, overflows a float."""
+
+
 class PartyCountUnsupported(EntmonoError):
     pass
 

@@ -133,7 +133,10 @@ class ComparisonRow:
 
 
 def _pair_array(pairs, dtype) -> np.ndarray:
-    a = np.array(pairs, dtype=dtype).reshape(-1, 2)
+    """The read-only (classes, 2) array of per-class pairs, owning its buffer."""
+    a = np.empty((len(pairs), 2), dtype=dtype)
+    if len(a):
+        a[:] = pairs
     a.setflags(write=False)
     return a
 

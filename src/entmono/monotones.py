@@ -142,46 +142,158 @@ def _frames_of(frame) -> tuple[np.ndarray, ...]:
     return ProjectorFrame(tuple(frame)).frames
 
 
-def _contract(x: np.ndarray, layout: Sequence[int], frames: Sequence[np.ndarray],
-              parties: Sequence[int]) -> tuple[np.ndarray, list[int]]:
-    """Apply V_p^dag on party p's axis of x for each p in ``parties``, in that
-    order, for S stacked starts.
+def _adjoint(v: np.ndarray) -> np.ndarray:
+    """The (1, k, d) adjoint stack W = V^dag of one d x k frame V."""
+    return v.conj().T[None]
 
-    ``frames[p]`` has shape (S, d_p, k_p), and ``layout[a]`` names the party
-    on party axis a of x; an axis whose label has no frame (the folded
-    environment) is summed over as it is.  x is either the shared state
-    tensor, with no start axis, or an (S, ...) stack of partial
-    contractions.  The first party contracted into the shared tensor is one
-    GEMM of psi, with that party's axis moved to the front, against all S
-    frames at once, which puts the start axis in front.  Every later party
-    stays on its axis, now of size k_p: with A and B the sizes before and
-    after that axis, it is one matmul per start, (A, d) @ conj(V) when
-    B = 1 and V^dag @ (d, B) when A = 1, and otherwise one V^dag @ (d, B)
-    per start and index of A.  A stack is never transposed: its layout
-    travels with it instead.  Returns the contracted x and its layout.
+
+# The operations of a _Schedule.  A contraction applies W_p to party p's
+# axis: _LEAD is one GEMM of all starts' W_p against a (d, rest) copy of
+# psi with p's axis first, and on a stack _RIGHT is (A, d) @ W_p^T, _LEFT
+# is W_p @ (d, B) and _MID is W_p @ (d, B) for each of A rows, A and B
+# being the sizes before and after p's axis.  A party step replaces W_p
+# with the top-k frame of X X^dag, X being party p's (d, A B) unfolding:
+# _ONE is the rank-one closed form, and _COLS (B = 1, the stack holds
+# X^T), _ROWS (A = 1, it holds X) and _GRAM (a transposed copy of X) form
+# the Gram matrix for eigh.  _NORM is each start's squared norm.
+_LEAD, _RIGHT, _LEFT, _MID, _ONE, _COLS, _ROWS, _GRAM, _NORM = range(9)
+
+
+class _Schedule:
+    """Contractions of psi with stacked adjoint frames, and party steps on
+    the results, compiled once into a flat list that ``_run`` executes.
+
+    psi is ``t``, with the party label ``labels[a]`` on axis a (None for an
+    axis that is never projected), and ``ks[p]`` is the rank of party p.
+    Frames are adjoint stacks W_p = V_p^dag of shape (S, k_p, d_p) for S
+    starts, the form every contraction consumes.  Slot 0 holds psi and
+    every other slot an (S, ...) stack of partial contractions, whose axes
+    keep psi's order except that a _LEAD puts its party first.  No
+    contraction transposes a stack: compiling tracks each slot's layout
+    and fixes each operation's matmul form and reshape, with the start
+    axis left as -1, so a run does no index or layout arithmetic and
+    serves any number of live starts.
     """
-    parties = list(parties)
-    layout = list(layout)
-    if x.ndim == len(layout):
-        p = parties.pop(0)
-        pos = layout.index(p)
-        x = x.transpose([pos] + [a for a in range(x.ndim) if a != pos])
-        layout.insert(0, layout.pop(pos))
-        s, d, k = frames[p].shape
-        lead = frames[p].conj().transpose(0, 2, 1).reshape(s * k, d)
-        x = (lead @ x.reshape(d, -1)).reshape(s, k, *x.shape[1:])
-    for p in parties:
-        pos = layout.index(p) + 1
-        s, d, k = frames[p].shape
-        shape = list(x.shape)
-        before, after = prod(shape[1:pos]), prod(shape[pos + 1:])
-        if after == 1:
-            x = x.reshape(s, before, d) @ frames[p].conj()
+
+    def __init__(self, t: np.ndarray, labels: Sequence, ks: Sequence[int]):
+        self.t = t
+        self.ks = ks
+        self.ops: list[tuple] = []
+        self.layouts = {0: list(zip(labels, t.shape))}
+
+    def _locate(self, src: int, p: int):
+        layout = self.layouts[src]
+        pos = [q for q, _ in layout].index(p)
+        sizes = [n for _, n in layout]
+        return layout, pos, sizes[pos], prod(sizes[:pos]), prod(sizes[pos + 1:])
+
+    def contract(self, src: int, dst: int, p: int) -> None:
+        """Apply W_p to party p's axis of slot ``src``, into slot ``dst``."""
+        layout, pos, d, a, b = self._locate(src, p)
+        kp = (p, self.ks[p])
+        if src == 0:
+            psi = np.moveaxis(self.t, pos, 0).reshape(d, -1)
+            self.ops.append((_LEAD, src, dst, p, psi))
+            self.layouts[dst] = [kp] + layout[:pos] + layout[pos + 1:]
+            return
+        if b == 1:
+            self.ops.append((_RIGHT, src, dst, p, (-1, a, d)))
+        elif a == 1:
+            self.ops.append((_LEFT, src, dst, p, (-1, d, b)))
         else:
-            x = frames[p].conj().transpose(0, 2, 1)[:, None] @ x.reshape(s, before, d, after)
-        shape[pos] = k
-        x = x.reshape(shape)
-    return x, layout
+            self.ops.append((_MID, src, dst, p, (-1, a, d, b)))
+        self.layouts[dst] = layout[:pos] + [kp] + layout[pos + 1:]
+
+    def chain(self, src: int, parties: Sequence[int]) -> int:
+        """Contract ``parties`` in order, into the slot after ``src``;
+        returns the slot that holds the result."""
+        dst = src + 1
+        for p in parties:
+            self.contract(src, dst, p)
+            src = dst
+        return src
+
+    def step(self, src: int, p: int) -> None:
+        """Replace W_p with the top-k_p frame of party p's conditional
+        operator on slot ``src``, psi contracted with every other frame."""
+        _, pos, d, a, b = self._locate(src, p)
+        if self.ks[p] == 1 and a * b == 1:
+            kind, shape = _ONE, (-1, d, 1)
+        elif b == 1:
+            kind, shape = _COLS, (-1, a, d)
+        elif a == 1:
+            kind, shape = _ROWS, (-1, d, b)
+        else:
+            kind, shape = _GRAM, (-1, a, d, b)
+        self.ops.append((kind, src, self.ks[p], p, shape))
+
+    def sweep(self, src: int, parties: Sequence[int]) -> None:
+        """One Gauss-Seidel pass over ``parties``, in order, on slot ``src``
+        (psi contracted with every frame outside ``parties``).
+
+        The parties split into a left and a right half: the left half is
+        swept on src contracted with the right half's frames, then the
+        right half on src contracted with the left half's new frames.  Over
+        this dimension tree a pass over n parties costs
+        C(n) = n + C(ceil(n/2)) + C(floor(n/2)), C(1) = 0, contractions,
+        against n(n - 1) when each step contracts every other party afresh.
+        Contracting the right half from its last party back, and the left
+        half from its first party on, leaves only contracted axes (and the
+        folded axis) on one side of each contracted axis: with rank-1
+        frames and no folded party, every contraction is one matmul per
+        start.
+        """
+        if len(parties) == 1:
+            self.step(src, parties[0])
+            return
+        half = (len(parties) + 1) // 2
+        left, right = parties[:half], parties[half:]
+        self.sweep(self.chain(src, right[::-1]), left)
+        self.sweep(self.chain(src, left), right)
+
+    def norm(self, src: int) -> None:
+        """Each start's squared norm of slot ``src``."""
+        self.ops.append((_NORM, src, None, None, (-1, prod(n for _, n in self.layouts[src]))))
+
+
+def _run(schedule: _Schedule, frames: list, gap_tol: float):
+    """Execute ``schedule`` on the adjoint stacks ``frames`` (indexed by
+    party label), replacing the frame of every party it steps.
+
+    Returns the per-start value of its last step (the top-k eigenvalue
+    sum) or _NORM, and whether any step's cut was degenerate (within
+    ``gap_tol``).  A step's third field is its rank, a contraction's the
+    slot it writes.  The steps look ``_rank_one_step`` and ``_top_eigvecs``
+    up when they run.
+    """
+    x = [schedule.t[None]] + [None] * (len(schedule.layouts) - 1)
+    value, degenerate = None, False
+    for kind, src, out, p, arg in schedule.ops:
+        if kind == _RIGHT:
+            x[out] = x[src].reshape(arg) @ frames[p].transpose(0, 2, 1)
+        elif kind == _LEFT:
+            x[out] = frames[p] @ x[src].reshape(arg)
+        elif kind == _MID:
+            x[out] = frames[p][:, None] @ x[src].reshape(arg)
+        elif kind == _LEAD:
+            x[out] = frames[p].reshape(-1, arg.shape[0]) @ arg
+        elif kind == _NORM:
+            y = x[src].reshape(arg)
+            value = (y.real ** 2 + y.imag ** 2).sum(axis=-1)
+        elif kind == _ONE:
+            frames[p], value, cut = _rank_one_step(x[src].reshape(arg), gap_tol)
+            degenerate = degenerate | cut
+        else:
+            y = x[src].reshape(arg)
+            if kind == _COLS:  # y holds X^T, and X X^dag = (X^T)^T conj(X^T)
+                gram = y.transpose(0, 2, 1) @ y.conj()
+            else:
+                if kind == _GRAM:
+                    y = y.transpose(0, 2, 1, 3).reshape(y.shape[0], arg[2], -1)
+                gram = y @ y.conj().transpose(0, 2, 1)
+            frames[p], value, cut = _top_eigvecs(gram, out, gap_tol)
+            degenerate = degenerate | cut
+    return value, degenerate
 
 
 def objective(state: StateTensor, frame) -> float:
@@ -192,8 +304,10 @@ def objective(state: StateTensor, frame) -> float:
     ):
         raise DimensionMismatch("frame shapes do not match the state's party dims")
     parties = range(state.n_parties)
-    red, _ = _contract(state.tensor(), parties, [v[None] for v in frames], parties)
-    return float(np.vdot(red, red).real)
+    schedule = _Schedule(state.tensor(), parties, [v.shape[1] for v in frames])
+    schedule.norm(schedule.chain(0, parties))
+    value, _ = _run(schedule, [_adjoint(v) for v in frames], 0.0)
+    return float(value[0])
 
 
 def bipartite_E(state: StateTensor, grouping: PartyGrouping, k1: int, k2: int) -> float:
@@ -210,14 +324,15 @@ def bipartite_E(state: StateTensor, grouping: PartyGrouping, k1: int, k2: int) -
 def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):
     """Top-k eigenvectors of Hermitian matrices stacked as (..., d, d), k < d.
 
-    Returns (frames (..., d, k), sums of the top-k eigenvalues,
-    degenerate-cut flags: the k-th and (k+1)-th eigenvalues within
-    ``gap_tol``).
+    This is the solver's only eigen step.  Returns (adjoint frames
+    W = V^dag (..., k, d), sums of the top-k eigenvalues, degenerate-cut
+    flags: the k-th and (k+1)-th eigenvalues within ``gap_tol``).
     """
     w, u = np.linalg.eigh(m)
     d = m.shape[-1]
     top = w[..., ::-1][..., :k].sum(axis=-1)
-    return u[..., ::-1][..., :k], top, np.abs(w[..., d - k] - w[..., d - k - 1]) <= gap_tol
+    frames = np.conjugate(u[..., ::-1][..., :k].swapaxes(-1, -2), order="C")
+    return frames, top, np.abs(w[..., d - k] - w[..., d - k - 1]) <= gap_tol
 
 
 def _rank_one_step(x: np.ndarray, gap_tol: float):
@@ -225,83 +340,33 @@ def _rank_one_step(x: np.ndarray, gap_tol: float):
 
     x x^dag has one nonzero eigenvalue, |x|^2, with eigenvector x / |x|,
     so the step needs neither the Gram matrix nor ``eigh``: it is the step
-    of the higher-order power method.  Every other eigenvalue is zero, so
-    the cut is degenerate exactly when |x|^2 <= ``gap_tol``.  A zero column
-    gets the first basis vector as its frame.
+    of the higher-order power method, and its adjoint frame is x^dag / |x|.
+    Every other eigenvalue is zero, so the cut is degenerate exactly when
+    |x|^2 <= ``gap_tol``.  A zero column gets the first basis vector as its
+    frame.
     """
     top = (x.real ** 2 + x.imag ** 2).sum(axis=(-2, -1))
-    zero = top == 0
-    frame = x / np.where(zero, 1.0, np.sqrt(top))[..., None, None]
-    frame[zero, 0] = 1
-    return frame, top, top <= gap_tol
-
-
-def _party_step(x: np.ndarray, layout: list[int], p: int, k: int, gap_tol: float):
-    """Top-k frame of party p's conditional operator X X^dag, where x is psi
-    contracted with the current frames of every other restricted party.
-
-    When k = 1 and X is a single column (every other restricted party has
-    rank 1 and no party is folded) this is ``_rank_one_step``; otherwise
-    it is ``_top_eigvecs`` on the Gram matrix.
-    """
-    pos = layout.index(p) + 1
-    s, d = x.shape[0], x.shape[pos]
-    before, after = prod(x.shape[1:pos]), prod(x.shape[pos + 1:])
-    if k == 1 and before * after == 1:
-        return _rank_one_step(x.reshape(s, d, 1), gap_tol)
-    if after == 1:  # x holds X^T, and X X^dag = (X^T)^T conj(X^T)
-        x = x.reshape(s, before, d)
-        gram = x.transpose(0, 2, 1) @ x.conj()
-    else:
-        x = x.reshape(s, before, d, after).transpose(0, 2, 1, 3).reshape(s, d, -1)
-        gram = x @ x.conj().transpose(0, 2, 1)
-    return _top_eigvecs(gram, k, gap_tol)
-
-
-def _sweep(x: np.ndarray, layout: list[int], frames: list[np.ndarray],
-           parties: Sequence[int], gap_tol: float):
-    """One Gauss-Seidel pass over ``parties``, in order, replacing their frames.
-
-    x is psi contracted with the current frames of every restricted party
-    outside ``parties``.  The parties split into a left and a right half:
-    the left half is swept on x contracted with the right half's frames,
-    then the right half on x contracted with the left half's new frames.
-    Over this dimension tree a pass over n parties costs
-    C(n) = n + C(ceil(n/2)) + C(floor(n/2)), C(1) = 0, contractions,
-    against n(n - 1) when each step contracts every other party afresh.
-
-    The parties not yet contracted stay in party order on x, so contracting
-    the right half from its last party back, and the left half from its
-    first party on, leaves only contracted axes (and the folded axis) on
-    one side of each contracted axis: with rank-1 frames and no folded
-    party, every contraction is one matmul per start.  Returns the
-    objective after the last step and whether any step's cut was
-    degenerate.
-    """
-    if len(parties) == 1:
-        p = parties[0]
-        frames[p], obj, degenerate = _party_step(x, layout, p, frames[p].shape[2], gap_tol)
-        return obj, degenerate
-    half = (len(parties) + 1) // 2
-    left, right = parties[:half], parties[half:]
-    _, degenerate = _sweep(*_contract(x, layout, frames, right[::-1]), frames, left, gap_tol)
-    obj, right_degenerate = _sweep(*_contract(x, layout, frames, left), frames, right, gap_tol)
-    return obj, degenerate | right_degenerate
+    norm = np.sqrt(top)
+    if not norm.all():
+        zero = norm == 0
+        x, norm[zero] = x.copy(), 1
+        x[zero, 0] = 1
+    return x.conj().swapaxes(-1, -2) / norm[..., None, None], top, top <= gap_tol
 
 
 @functools.lru_cache(maxsize=32)
 def _haar_starts(shape: tuple[tuple[int, int], ...], restricted: tuple[int, ...],
                  seed: int, restarts: int) -> tuple[np.ndarray, ...]:
-    """Per restricted party, the read-only (restarts, d, k) stack of Haar
-    start frames for parties of shape ``shape`` = ((d_0, k_0), ...).
+    """Per restricted party, the read-only (restarts, k, d) adjoint stack of
+    Haar start frames for parties of shape ``shape`` = ((d_0, k_0), ...).
 
     Start r is read from one row of standard normals drawn from
     ``stream_rng(seed, r)``, which holds the frames ``haar_random_frame``
     would draw from that stream, one per party in party order, unrestricted
     parties included.  Each restricted party's frames come from one
-    stacked QR of its columns.  The draw depends on nothing but the key,
-    so every solve of that shape shares it; the stacks are read-only
-    because they are shared.
+    stacked QR of its columns, and are stored as their adjoints V^dag.
+    The draw depends on nothing but the key, so every solve of that shape
+    shares it; the stacks are read-only because they are shared.
     """
     at = np.cumsum([0] + [2 * d * k for d, k in shape])
     normals = np.stack([stream_rng(seed, r).standard_normal(at[-1])
@@ -309,29 +374,34 @@ def _haar_starts(shape: tuple[tuple[int, int], ...], restricted: tuple[int, ...]
     cols = np.concatenate([np.arange(at[p], at[p + 1]) for p in restricted])
     stacks = _haar_frames(normals[:, cols], [shape[p][0] for p in restricted],
                           [shape[p][1] for p in restricted])
-    for f in stacks:
-        f.setflags(write=False)
-    return tuple(stacks)
+    adjoints = tuple(np.conjugate(f.transpose(0, 2, 1), order="C") for f in stacks)
+    for w in adjoints:
+        w.setflags(write=False)
+    return adjoints
 
 
 def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
             cfg: SolverConfig) -> list[np.ndarray]:
-    """Per restricted party, the (restarts + 1, d, k) stack of start frames.
+    """Per restricted party, the (restarts + 1, k, d) adjoint stack of start
+    frames.
 
     Start 0 is the deterministic spectral start (leading eigenvectors of
-    each single-party marginal); starts 1.. are the Haar frames of
-    ``_haar_starts``, drawn once per (dims, ranks, restricted parties,
-    seed, restarts) and shared by every state of that shape.  ``ks`` is
-    the vector the ascent sweeps, with the rank-saturated party (if any)
-    already raised to d_i (``_raise_saturated``), so a raised solve draws
-    the starts of its raised vector.  Each stack returned is a fresh,
-    writable concatenation.
+    each single-party marginal, a party step on the uncontracted state);
+    starts 1.. are the Haar frames of ``_haar_starts``, drawn once per
+    (dims, ranks, restricted parties, seed, restarts) and shared by every
+    state of that shape.  ``ks`` is the vector the ascent sweeps, with the
+    rank-saturated party (if any) already raised to d_i
+    (``_raise_saturated``), so a raised solve draws the starts of its
+    raised vector.  Each stack returned is a fresh, writable concatenation.
     """
     haar = _haar_starts(tuple(zip(state.dims, ks)), tuple(restricted), cfg.seed,
                         cfg.restarts)
-    t, parties = state.tensor()[None], list(range(state.n_parties))
-    spectral = [_party_step(t, parties, p, ks[p], 0.0)[0] for p in restricted]
-    return [np.concatenate([s, f]) for s, f in zip(spectral, haar)]
+    spectral = _Schedule(state.tensor(), range(state.n_parties), ks)
+    for p in restricted:
+        spectral.step(0, p)
+    frames = [None] * state.n_parties
+    _run(spectral, frames, 0.0)
+    return [np.concatenate([frames[p], f]) for p, f in zip(restricted, haar)]
 
 
 def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
@@ -361,12 +431,15 @@ def _fill(state: StateTensor, certificate: list[np.ndarray], p: int, k: int,
     objective of the filled certificate, and whether the cut was
     degenerate.
     """
-    t, parties = state.tensor(), list(range(state.n_parties))
-    stacks = [v[None] for v in certificate]
-    others = [q for q in parties if q != p and certificate[q].shape[1] < state.dims[q]]
-    x, layout = _contract(t, parties, stacks, others) if others else (t[None], parties)
-    frame, top, cut = _party_step(x, layout, p, k, gap_tol)
-    certificate[p] = frame[0]
+    ks = [v.shape[1] for v in certificate]
+    ks[p] = k
+    parties = range(state.n_parties)
+    others = [q for q in parties if q != p and ks[q] < state.dims[q]]
+    schedule = _Schedule(state.tensor(), parties, ks)
+    schedule.step(schedule.chain(0, others), p)
+    frames = [_adjoint(v) for v in certificate]
+    top, cut = _run(schedule, frames, gap_tol)
+    certificate[p] = frames[p][0].conj().T
     return float(top[0]), bool(cut[0])
 
 
@@ -376,42 +449,56 @@ def _ascend(state: StateTensor, ks: tuple[int, ...], restricted: list[int],
 
     The ascent runs on psi with the restricted parties' axes first, in
     party order, and the unrestricted ones folded into one trailing axis.
+    Its start value and its dimension-tree sweep are each compiled once
+    into a ``_Schedule``, and every sweep runs from it.  The live starts'
+    frames are adjoint stacks W_p = V_p^dag of shape (S, k_p, d_p), which
+    each sweep replaces.  Only a sweep in which some start converges
+    touches the other stacks: it writes out that start's frames, value
+    and degenerate flag, and compacts the live stacks to the starts left.
     Writes the best start's frames into ``certificate`` and returns (best
     value, all starts converged, starts agreeing with the best, degenerate
     cut at the best start).
     """
+    n = len(restricted)
     others = [p for p in range(state.n_parties) if p not in restricted]
     t = state.tensor().transpose(restricted + others).reshape(
         [state.dims[p] for p in restricted] + [-1])
-    frames = _starts(state, ks, restricted, cfg)
-    n_starts = frames[0].shape[0]
-    value = np.zeros(n_starts)
+    labels, ranks = list(range(n)) + [None], [ks[p] for p in restricted]
+    start, sweep = _Schedule(t, labels, ranks), _Schedule(t, labels, ranks)
+    start.norm(start.chain(0, range(n)))
+    sweep.sweep(0, list(range(n)))
+    live = _starts(state, ks, restricted, cfg)
+    frames = [np.empty_like(w) for w in live]
+    n_starts = len(live[0])
+    value = np.empty(n_starts)
     converged = np.zeros(n_starts, dtype=bool)
     degenerate = np.zeros(n_starts, dtype=bool)
-    live = np.arange(n_starts)
-    axes = list(range(t.ndim))
-    parties = range(len(restricted))
-    red, _ = _contract(t, axes, frames, parties)
-    prev = (red.real ** 2 + red.imag ** 2).reshape(n_starts, -1).sum(axis=-1)
+    index = np.arange(n_starts)
+    gap_tol = DEGENERACY_TOL * norm2
+    prev, _ = _run(start, live, gap_tol)
     for _ in range(cfg.max_iters):
-        work = [f[live] for f in frames]
-        obj, swept_degenerate = _sweep(t, axes, work, parties, DEGENERACY_TOL * norm2)
-        if np.any(obj - prev < -ASCENT_SLACK * norm2):
-            drop = float(np.max(prev - obj))
+        obj, cut = _run(sweep, live, gap_tol)
+        gain = obj - prev
+        if np.any(gain < -ASCENT_SLACK * norm2):
+            drop = float(np.max(-gain))
             raise ArithmeticError(f"alternating step decreased the objective by {drop:.3g}")
-        for f, w in zip(frames, work):
-            f[live] = w
-        value[live] = obj
-        degenerate[live] = swept_degenerate
-        done = np.abs(obj - prev) <= cfg.tol * norm2
-        converged[live] = done
-        live, prev = live[~done], obj[~done]
-        if not live.size:
-            break
+        done = np.abs(gain) <= cfg.tol * norm2
+        if done.any():
+            gone, keep = index[done], ~done
+            for f, w in zip(frames, live):
+                f[gone] = w[done]
+            value[gone], degenerate[gone], converged[gone] = obj[done], cut[done], True
+            live, index, obj, cut = [w[keep] for w in live], index[keep], obj[keep], cut[keep]
+            if not index.size:
+                break
+        prev = obj
+    for f, w in zip(frames, live):
+        f[index] = w
+    value[index], degenerate[index] = obj, cut
 
     best = int(np.argmax(value))
     for p, f in zip(restricted, frames):
-        certificate[p] = f[best]
+        certificate[p] = f[best].conj().T
     return (value[best], bool(converged.all()),
             int(np.sum(value[best] - value <= AGREEMENT_TOL * norm2)), bool(degenerate[best]))
 
@@ -437,16 +524,21 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     frame to the top-k eigenvectors of its conditional reduced operator,
     the exact single-party optimum, so the objective cannot decrease.  A
     sweep steps the restricted parties in party order (Gauss-Seidel) over
-    a dimension tree (``_sweep``), which shares partial contractions of psi
-    between party steps: C(n) = n + C(ceil(n/2)) + C(floor(n/2)) party
-    contractions per sweep over n parties (5, 8, 16, 44 for n = 3, 4, 6,
-    12) instead of n(n - 1).  When k_i = 1 and the conditional operator
-    has rank one (every other restricted party has rank 1 and no party is
-    folded, as in the all-ones class) the step is closed form, the
-    higher-order power method's x / |x| with value |x|^2, and no ``eigh``
-    runs.  All starts sweep together, stacked on a leading axis; a start
-    leaves the sweep once its own per-sweep gain is at most ``cfg.tol``
-    times the squared norm.
+    a dimension tree (``_Schedule.sweep``), which shares partial
+    contractions of psi between party steps: C(n) = n + C(ceil(n/2)) +
+    C(floor(n/2)) party contractions per sweep over n parties (5, 8, 16,
+    44 for n = 3, 4, 6, 12) instead of n(n - 1).  The sweep is compiled
+    once per solve into a flat schedule of matmuls and party steps, and
+    every sweep runs from it (``_run``).  When k_i = 1 and the conditional
+    operator has rank one (every other restricted party has rank 1 and no
+    party is folded, as in the all-ones class) the step is closed form,
+    the higher-order power method's x / |x| with value |x|^2, and no
+    ``eigh`` runs.  All starts sweep together: each party's frames are one
+    adjoint stack V^dag of shape (starts, k, d), the form the contractions
+    consume.  A start leaves the sweep once its own per-sweep gain is at
+    most ``cfg.tol`` times the squared norm; its frames, value and
+    degenerate flag are written out then, and the stacks are compacted to
+    the starts still live.
 
     The value is a certified lower bound: it is the objective of the
     returned certificate (the identity on unrestricted parties), up to

@@ -46,8 +46,17 @@ KRAUS_TOL = 1e-9
 
 def _spectrum(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Least eigenvalue of m's Hermitian part, and all of them in
-    decreasing order clipped at zero."""
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    decreasing order clipped at zero.
+
+    Finite entries can still overflow the Hermitian part, or the sum of
+    the eigenvalues (the operator's weight); either raises LengthMismatch.
+    """
+    hermitian = 0.5 * (m + m.conj().T)
+    if not np.all(np.isfinite(hermitian)):
+        raise LengthMismatch("the operator's Hermitian part overflows")
+    w = np.linalg.eigvalsh(hermitian)
+    if not np.isfinite(w.sum()):
+        raise LengthMismatch("the operator's spectrum overflows")
     return float(w[0]), np.maximum(w[::-1], 0.0)
 
 
@@ -82,8 +91,10 @@ class StateTensor:
                 f"got {amps.size} amplitudes for dims {list(dims)} "
                 f"(need {prod(dims)})"
             )
-        if not np.all(np.isfinite(amps.view(float))):
-            raise LengthMismatch("amplitudes must be finite")
+        # every solver threshold is relative to the squared norm, which is
+        # not finite when an amplitude is not, and can overflow when all are
+        if not np.isfinite(np.vdot(amps, amps).real):
+            raise LengthMismatch("amplitudes and their squared norm must be finite")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)

@@ -81,6 +81,17 @@ def test_eval_rejects_malformed_state_files(tmp_path, capsys, record):
     assert err.startswith("error:")
 
 
+def test_eval_rejects_an_overflowing_state(tmp_path, capsys):
+    # each amplitude is finite, but the squared norm is not
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dims": [2, 2],
+                                "amps": [[1e308, 0], [0, 0], [0, 0], [1e308, 0]]}))
+    code, out, err = run(capsys, "eval", "--state", str(path), "--ranks", "1,1")
+    assert code == 2
+    assert err.startswith("error:") and "squared norm" in err
+    assert out == ""
+
+
 def test_eval_haar_spec(capsys):
     code, out, err = run(
         capsys, "eval", "--state", "haar:2x2:7", "--ranks", "1,1", "--json"

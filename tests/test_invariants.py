@@ -15,6 +15,7 @@ from entmono.errors import (
     DegreeImbalanceWarning,
     NotSimpleForm,
     PartyCountUnsupported,
+    ValueOverflow,
 )
 from entmono import invariants
 from entmono.invariants import (
@@ -302,3 +303,11 @@ def test_copy_ratio_spot_check_uses_the_multiplicativity_rule(monkeypatch, kempe
     monkeypatch.setattr(invariants, "MULTIPLICATIVITY_TOL", -1.0)
     assert not multiplicativity_check(builtin_patterns()["I4_1"], kempe1, kempe1).passed
     assert not copy_ratio_feasibility(kempe1, kempe2, ("I4_1",)).odot_check_passed
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_invariants_raise_a_typed_error():
+    # |psi|^2 = 8e120 is finite, but the degree-3 scale (and I6) is not
+    state = StateTensor((2, 2, 2), 1e60 * np.ones(8))
+    with pytest.raises(ValueOverflow, match="overflows"):
+        builtin_invariants(state)

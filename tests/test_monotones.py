@@ -4,7 +4,7 @@ from math import comb, prod
 import numpy as np
 import pytest
 
-from entmono import catalog, monotones
+from entmono import catalog, locc, monotones
 from entmono.errors import BadGrouping, BadParameter, BadRank, DimensionMismatch, SumMismatch
 from entmono.monotones import (
     _starts,
@@ -172,6 +172,16 @@ def test_certificate_frames_own_their_memory(ks):
     for v in res.certificate.frames:
         assert v.base is None
         assert not v.flags.writeable
+
+
+def test_report_rows_own_their_memory():
+    # one (classes, 2) buffer per report row array, not a view over a temporary
+    w, ghz = catalog.w(), catalog.ghz()
+    dlocc, slocc = locc.compare_dlocc(w, ghz, cfg=FAST), locc.slocc_bound(w, ghz, cfg=FAST)
+    for rows in (dlocc.values, dlocc.blocked, slocc.values):
+        assert rows.base is None
+        assert rows.shape == (max(dlocc.index) + 1, 2)
+        assert not rows.flags.writeable
 
 
 def test_solver_matches_closed_form_when_reducible():
@@ -362,7 +372,8 @@ def test_haar_starts_are_drawn_once_per_shape(monkeypatch):
 
 def test_cached_haar_starts_are_read_only():
     stacks = monotones._haar_starts(((3, 2), (3, 2), (3, 1)), (0, 1, 2), 0, 4)
-    assert [f.shape for f in stacks] == [(4, 3, 2), (4, 3, 2), (4, 3, 1)]
+    # adjoint stacks W = V^dag, (restarts, k, d)
+    assert [f.shape for f in stacks] == [(4, 2, 3), (4, 2, 3), (4, 1, 3)]
     for f in stacks:
         with pytest.raises(ValueError):
             f[0, 0, 0] = 1
@@ -385,7 +396,12 @@ def test_cached_haar_starts_are_read_only():
      # party in the middle, and one sweep of rank-one steps
      ("haar:2x2x2x2x2:1", (1,) * 5, CFG),
      ("haar:2x2x2x2x2x2:1", (1, 2, 1, 2, 1, 1), CFG),
-     ("haar:2x2x2x2x2x2:1", (1,) * 6, SolverConfig(restarts=32, max_iters=1, seed=1))],
+     ("haar:2x2x2x2x2x2:1", (1,) * 6, SolverConfig(restarts=32, max_iters=1, seed=1)),
+     # stopped by max_iters while starts are still live: in each, 4 of the
+     # 9 starts have left the live stacks before the last sweep
+     ("haar:8x8x8:1", (3, 3, 3), SolverConfig(restarts=8, max_iters=60, seed=1)),
+     ("haar:2x2x2x2x2x2:2", (1,) * 6, SolverConfig(restarts=8, max_iters=45, seed=1)),
+     ("haar:4x4x4:1", (2, 2, 2), SolverConfig(restarts=8, max_iters=26, seed=1))],
 )
 def test_batched_ascent_matches_per_start_reference(spec, ks, cfg):
     # the reference sweeps the vector the solver sweeps: a rank-saturated
@@ -427,16 +443,16 @@ def test_sweep_contractions_follow_the_dimension_tree(monkeypatch, n, want):
     # one sweep over n restricted parties costs C(n) = n + C(ceil(n/2)) +
     # C(floor(n/2)), C(1) = 0, party contractions, against n(n - 1) when
     # every party step contracts all the others afresh
-    contract = monotones._contract
+    run = monotones._run
+    contractions = (monotones._LEAD, monotones._RIGHT, monotones._LEFT, monotones._MID)
     count = 0
 
-    def counted(x, layout, frames, parties):
+    def counted(schedule, frames, gap_tol):
         nonlocal count
-        parties = list(parties)
-        count += len(parties)
-        return contract(x, layout, frames, parties)
+        count += sum(op[0] in contractions for op in schedule.ops)
+        return run(schedule, frames, gap_tol)
 
-    monkeypatch.setattr(monotones, "_contract", counted)
+    monkeypatch.setattr(monotones, "_run", counted)
     state = catalog.resolve_state("haar:" + "x".join(["2"] * n) + ":1")
     totals = []
     for iters in (1, 2):
@@ -462,7 +478,7 @@ def test_rank_one_step_is_the_top_eigenvector(d):
     frame, value, degenerate = monotones._rank_one_step(x, gap_tol)
     want_frame, want_value, want_degenerate = monotones._top_eigvecs(
         x @ x.conj().transpose(0, 2, 1), 1, gap_tol)
-    assert frame.shape == want_frame.shape == (12, d, 1)
+    assert frame.shape == want_frame.shape == (12, 1, d)  # adjoint frames
     np.testing.assert_allclose(value, want_value, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(degenerate, want_degenerate)
     assert degenerate.tolist() == [i in (3, 5) for i in range(12)]
@@ -522,12 +538,12 @@ def test_starts_are_the_per_restart_haar_frames(dims, ks, restarts):
     stacks = _starts(haar_random_state(dims, 3), ks, restricted, cfg)
     assert len(stacks) == len(restricted)
     for stack, p in zip(stacks, restricted):
-        assert stack.shape == (restarts + 1, dims[p], ks[p])
+        assert stack.shape == (restarts + 1, ks[p], dims[p])  # adjoints V^dag
     for r in range(restarts):
         rng = stream_rng(cfg.seed, r)
         want = [haar_random_frame(d, k, rng) for d, k in zip(dims, ks)]
         for stack, p in zip(stacks, restricted):
-            assert stack[r + 1].tobytes() == want[p].tobytes()
+            assert stack[r + 1].tobytes() == want[p].conj().T.tobytes()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, float("inf"), float("nan")])

@@ -57,6 +57,14 @@ def test_new_state_length_mismatch():
         new_state([2, 2], [1, 0, 0])
 
 
+def test_state_tensor_rejects_an_overflowing_squared_norm():
+    # finite amplitudes whose squared norm is inf would make every
+    # norm-relative solver threshold inf
+    with pytest.raises(LengthMismatch, match="squared norm"):
+        new_state([2], [1e308, 1e308])
+    assert squared_norm(new_state([2], [1e153, 1e153])) == pytest.approx(2e306)
+
+
 def test_new_state_bad_dimension():
     with pytest.raises(BadDimension):
         new_state([2, 0], [])
@@ -303,6 +311,8 @@ def test_kraus_rectangular_output_dim(ghz):
     assert branches[1].dims == (2, 2, 3)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_density_op_validation(rng):
     with pytest.raises(NotHermitian):
         DensityOp((2,), np.array([[0, 1], [0, 0]], dtype=complex))
@@ -314,6 +324,11 @@ def test_density_op_validation(rng):
     for bad in (np.nan, np.inf):
         with pytest.raises(LengthMismatch):
             DensityOp((2,), np.diag([bad, 1.0]))
+    # finite entries whose Hermitian part, or whose spectrum's sum, overflows
+    with pytest.raises(LengthMismatch, match="Hermitian part"):
+        DensityOp((2,), np.diag([1e308, 1e308]))
+    with pytest.raises(LengthMismatch, match="spectrum"):
+        DensityOp((3,), np.diag([6e307, 6e307, 6e307]))
 
 
 def test_density_op_spectrum_and_purification_agree(rng):
