@@ -437,7 +437,7 @@ def _fill(state: StateTensor, certificate: list[np.ndarray], p: int, k: int,
     others = [q for q in parties if q != p and ks[q] < state.dims[q]]
     schedule = _Schedule(state.tensor(), parties, ks)
     schedule.step(schedule.chain(0, others), p)
-    frames = [_adjoint(v) for v in certificate]
+    frames = [_adjoint(v) if q in others else None for q, v in enumerate(certificate)]
     top, cut = _run(schedule, frames, gap_tol)
     certificate[p] = frames[p][0].conj().T
     return float(top[0]), bool(cut[0])
