@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Mapping
 
 import numpy as np
@@ -30,7 +31,14 @@ from .contractions import (
 )
 from .errors import BadParameter, DegreeImbalanceWarning, NotSimpleForm, PartyCountUnsupported
 from .rng import haar_random_unitary, stream_rng
-from .states import DensityOp, StateTensor, apply_local_unitaries, odot, squared_norm
+from .states import (
+    DensityOp,
+    StateTensor,
+    _is_number,
+    apply_local_unitaries,
+    odot,
+    squared_norm,
+)
 
 MULTIPLICATIVITY_TOL = 1e-9  # |I(a (.) b) - I(a) I(b)|, relative to the larger
 LU_TOL = 1e-9  # drift under local unitaries, relative to max(|I|, ||psi||^n)
@@ -197,8 +205,8 @@ def local_unitary_invariance_check(
     max(|baseline|, ||psi||^n), n the target's number of psi/psi* factors
     (0 for a callable).
     """
-    if trials < 1:
-        raise BadParameter(f"need at least one trial, got {trials}")
+    if not _is_number(trials, Integral) or trials < 1:
+        raise BadParameter(f"trials must be an integer >= 1, got {trials!r}")
     fn, degree = _as_evaluator(target)
     base = fn(state)
     worst = 0.0

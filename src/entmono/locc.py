@@ -15,6 +15,7 @@ import functools
 import itertools
 from dataclasses import dataclass, fields
 from math import prod
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from .monotones import (
     result_is_trusted,
     solve_E,
 )
-from .states import PartyGrouping, StateTensor, odot, squared_norm
+from .states import PartyGrouping, StateTensor, _is_number, odot, squared_norm
 
 WITNESS_TOL = 1e-6  # witness margin, relative to the larger squared norm
 COPY_RATIO_RTOL = 1e-8  # relative gap at which two invariant powers differ
@@ -374,8 +375,8 @@ def copy_ratio_feasibility(
     merged-state evaluation at C1 = C2 = 2 is run as a spot check of the
     multiplicativity assumption, judged by ``multiplicativity_check``'s rule.
     """
-    if cmax < 1 or cmax > 8:
-        raise BadParameter(f"cmax must lie in 1..8, got {cmax}")
+    if not _is_number(cmax, Integral) or not 1 <= cmax <= 8:
+        raise BadParameter(f"cmax must be an integer in 1..8, got {cmax!r}")
     _check_normalized(a, "a")
     _check_normalized(b, "b")
     named = [_resolve_invariant(s) for s in invariants]

@@ -6,10 +6,11 @@ k_{N-1}).  Parties with k_i = d_i, or a party with k_i at least the
 product of the other ranks (raised to d_i, which leaves the value
 unchanged), take no part in the maximization.  With two or more
 restricted parties left, multi-start alternating maximization over their
-frames yields a certified lower bound.  Every other frame is filled with
-the top-k_i eigenvectors of that party's operator given the other
-parties' frames: a lone restricted party's fill is the exact closed form
-(sum of the leading reduced-density eigenvalues).
+frames yields a certified lower bound; a lone restricted party's frame is
+the top-k_i eigenvectors of its marginal, and their eigenvalue sum is the
+exact value.  A raised party's frame is the top-k_i eigenvectors of its
+operator given the other parties' frames.  Every contraction and party
+step of a solve runs on one layout of psi (``_folded``).
 
 Also here: the classical bipartite background quantities (trace powers,
 elementary symmetric polynomials, majorization, leading-eigenvalue partial
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from math import prod
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +41,7 @@ from .states import (
     PartyGrouping,
     StateTensor,
     _check_covers,
+    _is_number,
     schmidt_values,
     squared_norm,
 )
@@ -81,7 +84,7 @@ class ProjectorFrame:
                     f"frame {i} has shape {v.shape}; need d x k with 1 <= k <= d"
                 )
             gram = v.conj().T @ v
-            if np.max(np.abs(gram - np.eye(v.shape[1]))) > FRAME_TOL:
+            if not np.abs(gram - np.eye(v.shape[1])).max() <= FRAME_TOL:  # NaN fails too
                 raise NonUnitary(f"frame {i} columns are not orthonormal")
             v.setflags(write=False)
             frames.append(v)
@@ -102,8 +105,12 @@ class SolverConfig:
     def __post_init__(self):
         # tol bounds a per-sweep gain relative to the squared norm, which
         # never reaches 1, so tol >= 1 would stop every start after one sweep
-        if self.restarts < 1 or self.max_iters < 1 or not 0 < self.tol < 1 or self.seed < 0:
-            raise BadParameter("need restarts >= 1, max_iters >= 1, 0 < tol < 1, seed >= 0")
+        counts = (self.restarts, self.max_iters, self.seed)
+        if (not all(_is_number(c, Integral) for c in counts) or not _is_number(self.tol, Real)
+                or self.restarts < 1 or self.max_iters < 1 or not 0 < self.tol < 1
+                or self.seed < 0):
+            raise BadParameter("need integers restarts >= 1, max_iters >= 1, seed >= 0 "
+                               "and a real 0 < tol < 1")
 
 
 @dataclass(frozen=True)
@@ -142,44 +149,48 @@ def _frames_of(frame) -> tuple[np.ndarray, ...]:
     return ProjectorFrame(tuple(frame)).frames
 
 
-def _adjoint(v: np.ndarray) -> np.ndarray:
-    """The (1, k, d) adjoint stack W = V^dag of one d x k frame V."""
-    return v.conj().T[None]
-
-
 # The operations of a _Schedule.  A contraction applies W_p to party p's
 # axis: _LEAD is one GEMM of all starts' W_p against a (d, rest) copy of
-# psi with p's axis first, and on a stack _RIGHT is (A, d) @ W_p^T, _LEFT
-# is W_p @ (d, B) and _MID is W_p @ (d, B) for each of A rows, A and B
-# being the sizes before and after p's axis.  A party step replaces W_p
-# with the top-k frame of X X^dag, X being party p's (d, A B) unfolding:
-# _ONE is the rank-one closed form, and _COLS (B = 1, the stack holds
-# X^T), _ROWS (A = 1, it holds X) and _GRAM (a transposed copy of X) form
+# psi with p's axis first, and on a stack _RIGHT is (A, d) @ W_p^T and
+# _MID is W_p @ (d, B) for each of A rows, A and B being the sizes before
+# and after p's axis (A = 1 is one row, a view).  A party step replaces
+# W_p with the top-k frame of X X^dag, X being party p's (d, A B)
+# unfolding: _ONE is the rank-one closed form, and _COLS (B = 1, the stack
+# holds X^T) and _GRAM (a transposed copy of X, a view when A = 1) form
 # the Gram matrix for eigh.  _NORM is each start's squared norm.
-_LEAD, _RIGHT, _LEFT, _MID, _ONE, _COLS, _ROWS, _GRAM, _NORM = range(9)
+_LEAD, _RIGHT, _MID, _ONE, _COLS, _GRAM, _NORM = range(7)
+
+
+def _folded(state: StateTensor, parties: list[int]) -> np.ndarray:
+    """psi with the axes of ``parties`` first, in that order, and every
+    other party folded into one trailing axis: the one layout that every
+    ``_Schedule`` of a solve or of ``objective`` is compiled on."""
+    rest = [p for p in range(state.n_parties) if p not in parties]
+    return state.tensor().transpose(parties + rest).reshape(
+        [state.dims[p] for p in parties] + [-1])
 
 
 class _Schedule:
     """Contractions of psi with stacked adjoint frames, and party steps on
     the results, compiled once into a flat list that ``_run`` executes.
 
-    psi is ``t``, with the party label ``labels[a]`` on axis a (None for an
-    axis that is never projected), and ``ks[p]`` is the rank of party p.
-    Frames are adjoint stacks W_p = V_p^dag of shape (S, k_p, d_p) for S
-    starts, the form every contraction consumes.  Slot 0 holds psi and
-    every other slot an (S, ...) stack of partial contractions, whose axes
-    keep psi's order except that a _LEAD puts its party first.  No
-    contraction transposes a stack: compiling tracks each slot's layout
-    and fixes each operation's matmul form and reshape, with the start
-    axis left as -1, so a run does no index or layout arithmetic and
-    serves any number of live starts.
+    psi is ``t``, laid out by ``_folded``: axis p holds the party labelled
+    p, of rank ``ks[p]``, and the last axis holds the folded parties, which
+    are never projected.  Frames are adjoint stacks W_p = V_p^dag of shape
+    (S, k_p, d_p) for S starts, the form every contraction consumes.  Slot
+    0 holds psi and every other slot an (S, ...) stack of partial
+    contractions, whose axes keep psi's order except that a _LEAD puts its
+    party first.  No contraction transposes a stack: compiling tracks each
+    slot's layout and fixes each operation's matmul form and reshape, with
+    the start axis left as -1, so a run does no index or layout arithmetic
+    and serves any number of live starts.
     """
 
-    def __init__(self, t: np.ndarray, labels: Sequence, ks: Sequence[int]):
+    def __init__(self, t: np.ndarray, ks: Sequence[int]):
         self.t = t
         self.ks = ks
         self.ops: list[tuple] = []
-        self.layouts = {0: list(zip(labels, t.shape))}
+        self.layouts = {0: list(zip([*range(len(ks)), None], t.shape))}
 
     def _locate(self, src: int, p: int):
         layout = self.layouts[src]
@@ -198,8 +209,6 @@ class _Schedule:
             return
         if b == 1:
             self.ops.append((_RIGHT, src, dst, p, (-1, a, d)))
-        elif a == 1:
-            self.ops.append((_LEFT, src, dst, p, (-1, d, b)))
         else:
             self.ops.append((_MID, src, dst, p, (-1, a, d, b)))
         self.layouts[dst] = layout[:pos] + [kp] + layout[pos + 1:]
@@ -221,8 +230,6 @@ class _Schedule:
             kind, shape = _ONE, (-1, d, 1)
         elif b == 1:
             kind, shape = _COLS, (-1, a, d)
-        elif a == 1:
-            kind, shape = _ROWS, (-1, d, b)
         else:
             kind, shape = _GRAM, (-1, a, d, b)
         self.ops.append((kind, src, self.ks[p], p, shape))
@@ -258,7 +265,8 @@ class _Schedule:
 
 def _run(schedule: _Schedule, frames: list, gap_tol: float):
     """Execute ``schedule`` on the adjoint stacks ``frames`` (indexed by
-    party label), replacing the frame of every party it steps.
+    party label, that is by psi's axis), replacing the frame of every party
+    it steps.
 
     Returns the per-start value of its last step (the top-k eigenvalue
     sum) or _NORM, and whether any step's cut was degenerate (within
@@ -271,8 +279,6 @@ def _run(schedule: _Schedule, frames: list, gap_tol: float):
     for kind, src, out, p, arg in schedule.ops:
         if kind == _RIGHT:
             x[out] = x[src].reshape(arg) @ frames[p].transpose(0, 2, 1)
-        elif kind == _LEFT:
-            x[out] = frames[p] @ x[src].reshape(arg)
         elif kind == _MID:
             x[out] = frames[p][:, None] @ x[src].reshape(arg)
         elif kind == _LEAD:
@@ -288,8 +294,7 @@ def _run(schedule: _Schedule, frames: list, gap_tol: float):
             if kind == _COLS:  # y holds X^T, and X X^dag = (X^T)^T conj(X^T)
                 gram = y.transpose(0, 2, 1) @ y.conj()
             else:
-                if kind == _GRAM:
-                    y = y.transpose(0, 2, 1, 3).reshape(y.shape[0], arg[2], -1)
+                y = y.transpose(0, 2, 1, 3).reshape(y.shape[0], arg[2], -1)
                 gram = y @ y.conj().transpose(0, 2, 1)
             frames[p], value, cut = _top_eigvecs(gram, out, gap_tol)
             degenerate = degenerate | cut
@@ -297,16 +302,20 @@ def _run(schedule: _Schedule, frames: list, gap_tol: float):
 
 
 def objective(state: StateTensor, frame) -> float:
-    """Squared norm of (Gamma_0 x ... x Gamma_{N-1}) |psi> for the given frames."""
+    """Squared norm of (Gamma_0 x ... x Gamma_{N-1}) |psi> for the given frames.
+
+    A k_i = d_i frame is unitary (``ProjectorFrame`` checks its columns),
+    so its projector is the identity: its party is folded, not contracted.
+    """
     frames = _frames_of(frame)
     if len(frames) != state.n_parties or any(
         v.shape[0] != d for v, d in zip(frames, state.dims)
     ):
         raise DimensionMismatch("frame shapes do not match the state's party dims")
-    parties = range(state.n_parties)
-    schedule = _Schedule(state.tensor(), parties, [v.shape[1] for v in frames])
-    schedule.norm(schedule.chain(0, parties))
-    value, _ = _run(schedule, [_adjoint(v) for v in frames], 0.0)
+    parties = [p for p, v in enumerate(frames) if v.shape[1] < v.shape[0]]
+    schedule = _Schedule(_folded(state, parties), [frames[p].shape[1] for p in parties])
+    schedule.norm(schedule.chain(0, range(len(parties))))
+    value, _ = _run(schedule, [frames[p].conj().T[None] for p in parties], 0.0)
     return float(value[0])
 
 
@@ -380,30 +389,6 @@ def _haar_starts(shape: tuple[tuple[int, int], ...], restricted: tuple[int, ...]
     return adjoints
 
 
-def _starts(state: StateTensor, ks: tuple[int, ...], restricted: Sequence[int],
-            cfg: SolverConfig) -> list[np.ndarray]:
-    """Per restricted party, the (restarts + 1, k, d) adjoint stack of start
-    frames.
-
-    Start 0 is the deterministic spectral start (leading eigenvectors of
-    each single-party marginal, a party step on the uncontracted state);
-    starts 1.. are the Haar frames of ``_haar_starts``, drawn once per
-    (dims, ranks, restricted parties, seed, restarts) and shared by every
-    state of that shape.  ``ks`` is the vector the ascent sweeps, with the
-    rank-saturated party (if any) already raised to d_i
-    (``_raise_saturated``), so a raised solve draws the starts of its
-    raised vector.  Each stack returned is a fresh, writable concatenation.
-    """
-    haar = _haar_starts(tuple(zip(state.dims, ks)), tuple(restricted), cfg.seed,
-                        cfg.restarts)
-    spectral = _Schedule(state.tensor(), range(state.n_parties), ks)
-    for p in restricted:
-        spectral.step(0, p)
-    frames = [None] * state.n_parties
-    _run(spectral, frames, 0.0)
-    return [np.concatenate([frames[p], f]) for p, f in zip(restricted, haar)]
-
-
 def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
     """The rank-saturated party to raise to its dimension, or None.
 
@@ -423,52 +408,29 @@ def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
     return None
 
 
-def _fill(state: StateTensor, certificate: list[np.ndarray], p: int, k: int,
-          gap_tol: float) -> tuple[float, bool]:
-    """Give party p its d_p x k frame: the top-k eigenvectors of its
-    conditional operator given the other parties' frames in
-    ``certificate``.  Returns the top-k eigenvalue sum, which is the
-    objective of the filled certificate, and whether the cut was
-    degenerate.
+def _ascend(t: np.ndarray, ks: list[int], frames: list, haar: tuple[np.ndarray, ...],
+            norm2: float, cfg: SolverConfig):
+    """Multi-start HOOI over the swept parties, labels 0..n-1 of ``t``
+    (``solve_E``).
+
+    Start 0 is the spectral frames in ``frames``, each a (1, k, d) stack,
+    and starts 1.. are the Haar stacks ``haar``.  The start value and the
+    dimension-tree sweep are each compiled once into a ``_Schedule``, and
+    every sweep runs from it.  The live starts' frames are adjoint stacks
+    W_p = V_p^dag of shape (S, k_p, d_p), which each sweep replaces.  Only
+    a sweep in which some start converges touches the other stacks: it
+    writes out that start's frames, value and degenerate flag, and
+    compacts the live stacks to the starts left.  Writes the best start's
+    (1, k, d) stacks into ``frames`` and returns (its value and degenerate
+    flag as (1,) arrays, all starts converged, starts agreeing with the
+    best).
     """
-    ks = [v.shape[1] for v in certificate]
-    ks[p] = k
-    parties = range(state.n_parties)
-    others = [q for q in parties if q != p and ks[q] < state.dims[q]]
-    schedule = _Schedule(state.tensor(), parties, ks)
-    schedule.step(schedule.chain(0, others), p)
-    frames = [_adjoint(v) if q in others else None for q, v in enumerate(certificate)]
-    top, cut = _run(schedule, frames, gap_tol)
-    certificate[p] = frames[p][0].conj().T
-    return float(top[0]), bool(cut[0])
-
-
-def _ascend(state: StateTensor, ks: tuple[int, ...], restricted: list[int],
-            certificate: list[np.ndarray], norm2: float, cfg: SolverConfig):
-    """Multi-start HOOI over the restricted parties (``solve_E``).
-
-    The ascent runs on psi with the restricted parties' axes first, in
-    party order, and the unrestricted ones folded into one trailing axis.
-    Its start value and its dimension-tree sweep are each compiled once
-    into a ``_Schedule``, and every sweep runs from it.  The live starts'
-    frames are adjoint stacks W_p = V_p^dag of shape (S, k_p, d_p), which
-    each sweep replaces.  Only a sweep in which some start converges
-    touches the other stacks: it writes out that start's frames, value
-    and degenerate flag, and compacts the live stacks to the starts left.
-    Writes the best start's frames into ``certificate`` and returns (best
-    value, all starts converged, starts agreeing with the best, degenerate
-    cut at the best start).
-    """
-    n = len(restricted)
-    others = [p for p in range(state.n_parties) if p not in restricted]
-    t = state.tensor().transpose(restricted + others).reshape(
-        [state.dims[p] for p in restricted] + [-1])
-    labels, ranks = list(range(n)) + [None], [ks[p] for p in restricted]
-    start, sweep = _Schedule(t, labels, ranks), _Schedule(t, labels, ranks)
+    n = len(haar)
+    start, sweep = _Schedule(t, ks), _Schedule(t, ks)
     start.norm(start.chain(0, range(n)))
     sweep.sweep(0, list(range(n)))
-    live = _starts(state, ks, restricted, cfg)
-    frames = [np.empty_like(w) for w in live]
+    live = [np.concatenate([w, h]) for w, h in zip(frames, haar)]
+    done_frames = [np.empty_like(w) for w in live]
     n_starts = len(live[0])
     value = np.empty(n_starts)
     converged = np.zeros(n_starts, dtype=bool)
@@ -485,84 +447,97 @@ def _ascend(state: StateTensor, ks: tuple[int, ...], restricted: list[int],
         done = np.abs(gain) <= cfg.tol * norm2
         if done.any():
             gone, keep = index[done], ~done
-            for f, w in zip(frames, live):
+            for f, w in zip(done_frames, live):
                 f[gone] = w[done]
             value[gone], degenerate[gone], converged[gone] = obj[done], cut[done], True
             live, index, obj, cut = [w[keep] for w in live], index[keep], obj[keep], cut[keep]
             if not index.size:
                 break
         prev = obj
-    for f, w in zip(frames, live):
+    for f, w in zip(done_frames, live):
         f[index] = w
     value[index], degenerate[index] = obj, cut
 
     best = int(np.argmax(value))
-    for p, f in zip(restricted, frames):
-        certificate[p] = f[best].conj().T
-    return (value[best], bool(converged.all()),
-            int(np.sum(value[best] - value <= AGREEMENT_TOL * norm2)), bool(degenerate[best]))
+    frames[:n] = [f[best:best + 1] for f in done_frames]
+    return (value[best:best + 1], degenerate[best:best + 1], bool(converged.all()),
+            int(np.sum(value[best] - value <= AGREEMENT_TOL * norm2)))
 
 
 def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = None) -> MonotoneResult:
     """Maximize the product-subspace projection weight at ranks ``ks``.
 
     A party with k_i = d_i has the identity as its projector, so only the
-    restricted parties (k_i < d_i) are solved for; all others share one
-    trailing axis of the state tensor that is never projected.  A
-    rank-saturated party (2 <= k_i < d_i, k_i >= prod_{j != i} k_j) is
-    first raised to k_i = d_i, which leaves E unchanged
-    (``_raise_saturated``).  With no restricted party the value is the
-    squared norm.  A lone restricted party is filled (``_fill``) given the
-    identity on every other party: its frame is the top-k eigenvectors of
-    its marginal and the value, their eigenvalue sum, is closed form.  A
-    raised party is filled last, given the final frames, and the value is
-    that fill's eigenvalue sum.  Two or more restricted parties run
-    ``cfg.restarts`` Haar-random starts, drawn once per shape
-    (``_starts``), plus one deterministic start seeded from the
-    single-party marginal spectra.  This is HOOI
-    (higher-order orthogonal iteration): each party step sets that party's
-    frame to the top-k eigenvectors of its conditional reduced operator,
-    the exact single-party optimum, so the objective cannot decrease.  A
-    sweep steps the restricted parties in party order (Gauss-Seidel) over
-    a dimension tree (``_Schedule.sweep``), which shares partial
-    contractions of psi between party steps: C(n) = n + C(ceil(n/2)) +
-    C(floor(n/2)) party contractions per sweep over n parties (5, 8, 16,
-    44 for n = 3, 4, 6, 12) instead of n(n - 1).  The sweep is compiled
-    once per solve into a flat schedule of matmuls and party steps, and
-    every sweep runs from it (``_run``).  When k_i = 1 and the conditional
-    operator has rank one (every other restricted party has rank 1 and no
-    party is folded, as in the all-ones class) the step is closed form,
-    the higher-order power method's x / |x| with value |x|^2, and no
-    ``eigh`` runs.  All starts sweep together: each party's frames are one
-    adjoint stack V^dag of shape (starts, k, d), the form the contractions
-    consume.  A start leaves the sweep once its own per-sweep gain is at
-    most ``cfg.tol`` times the squared norm; its frames, value and
-    degenerate flag are written out then, and the stacks are compacted to
-    the starts still live.
+    restricted parties (k_i < d_i) are solved for.  A rank-saturated party
+    (2 <= k_i < d_i, k_i >= prod_{j != i} k_j) is first raised to k_i =
+    d_i, which leaves E unchanged (``_raise_saturated``), and the other
+    restricted parties are swept.  psi is laid out once (``_folded``): the
+    swept parties' axes in party order, then the raised party's, then
+    every other party folded into one trailing axis that is never
+    projected, and every schedule of the solve is compiled on that array.
+    With no restricted party the value is the squared norm.  Each swept
+    party's spectral step on psi (the top-k eigenvectors of its marginal)
+    is start 0; with one swept party its eigenvalue sum is already the
+    exact value.  Two or more swept parties also run ``cfg.restarts``
+    Haar-random starts, drawn once per shape (``_haar_starts``).  This is
+    HOOI (higher-order orthogonal iteration): each party step sets that
+    party's frame to the top-k eigenvectors of its conditional reduced
+    operator, the exact single-party optimum, so the objective cannot
+    decrease.  A sweep steps the swept parties in party order
+    (Gauss-Seidel) over a dimension tree (``_Schedule.sweep``), which
+    shares partial contractions of psi between party steps: C(n) = n +
+    C(ceil(n/2)) + C(floor(n/2)) party contractions per sweep over n
+    parties (5, 8, 16, 44 for n = 3, 4, 6, 12) instead of n(n - 1).  The
+    sweep is compiled once per solve into a flat schedule of matmuls and
+    party steps, and every sweep runs from it (``_run``).  When k_i = 1
+    and the conditional operator has rank one (every other swept party has
+    rank 1 and no party is folded, as in the all-ones class) the step is
+    closed form, the higher-order power method's x / |x| with value |x|^2,
+    and no ``eigh`` runs.  All starts sweep together: each party's frames
+    are one adjoint stack V^dag of shape (starts, k, d), the form the
+    contractions consume.  A start leaves the sweep once its own per-sweep
+    gain is at most ``cfg.tol`` times the squared norm; its frames, value
+    and degenerate flag are written out then, and the stacks are compacted
+    to the starts still live.  A raised party takes one more step after
+    the ascent, given the best start's frames, and the value is that
+    step's eigenvalue sum.
 
     The value is a certified lower bound: it is the objective of the
-    returned certificate (the identity on unrestricted parties), up to
-    round-off.
+    returned certificate (the identity on every party outside the solve),
+    up to round-off.
     ``restarts_agreeing`` counts starts that landed within 1e-8 (relative
     to the squared norm) of the best, as a crude confidence signal.
     """
     cfg = cfg or SolverConfig()
     ks = _check_ranks(state.dims, ks)
     raised = _raise_saturated(state.dims, ks)
-    swept = ks if raised is None else ks[:raised] + (state.dims[raised],) + ks[raised + 1:]
-    restricted = [p for p, (k, d) in enumerate(zip(swept, state.dims)) if k < d]
+    swept = [p for p, (k, d) in enumerate(zip(ks, state.dims)) if k < d and p != raised]
+    parties = swept + ([] if raised is None else [raised])
     norm2 = squared_norm(state)
-    certificate = [np.eye(d, dtype=complex) for d in state.dims]
     value, converged, agreeing, degenerate = norm2, True, cfg.restarts + 1, False
-    filled = [] if raised is None else [raised]
-    if len(restricted) > 1:
-        value, converged, agreeing, degenerate = _ascend(
-            state, swept, restricted, certificate, norm2, cfg)
-    else:
-        filled = restricted + filled
-    for p in filled:
-        value, cut = _fill(state, certificate, p, ks[p], DEGENERACY_TOL * norm2)
-        degenerate |= cut
+    frames = [None] * len(parties)
+    if parties:
+        t, ranks, n = _folded(state, parties), [ks[p] for p in parties], len(swept)
+        gap_tol = DEGENERACY_TOL * norm2
+        spectral = _Schedule(t, ranks)
+        for i in range(n):
+            spectral.step(0, i)
+        top, cut = _run(spectral, frames, gap_tol)
+        if n > 1:
+            # the draw of the raised vector, k_i = d_i at the raised party
+            shape = [(d, d if p == raised else k) for p, (d, k) in enumerate(zip(state.dims, ks))]
+            haar = _haar_starts(tuple(shape), tuple(swept), cfg.seed, cfg.restarts)
+            top, cut, converged, agreeing = _ascend(t, ranks, frames, haar, norm2, cfg)
+        if raised is not None:
+            fill = _Schedule(t, ranks)
+            fill.step(fill.chain(0, range(n)), n)
+            top, filled = _run(fill, frames, gap_tol)
+            cut = cut | filled
+        value, degenerate = top[0], cut[0]
+    certificate = [None if p in parties else np.eye(d, dtype=complex)
+                   for p, d in enumerate(state.dims)]
+    for p, w in zip(parties, frames):
+        certificate[p] = w[0].conj().T
     return MonotoneResult(
         value=float(value),
         ranks=ks,
@@ -624,7 +599,7 @@ def majorizes(a: Sequence[float], b: Sequence[float]) -> bool:
     av = np.pad(av, (0, n - av.size))
     bv = np.pad(bv, (0, n - bv.size))
     weight = max(abs(av.sum()), abs(bv.sum()))
-    if abs(av.sum() - bv.sum()) > WEIGHT_TOL * weight:
+    if not abs(av.sum() - bv.sum()) <= WEIGHT_TOL * weight:  # NaN fails too
         raise SumMismatch(
             f"vectors have different total weight ({av.sum():.12g} vs {bv.sum():.12g})"
         )

@@ -8,6 +8,7 @@ never through the solver's contraction or eigenvector steps.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import BadParameter, ShapeMismatch
 from .monotones import _check_ranks
 from .rng import _haar_frames, stream_rng
-from .states import StateTensor
+from .states import StateTensor, _is_number
 
 _BLOCK = 256  # samples evaluated per einsum in sample_E
 
@@ -23,8 +24,8 @@ _BLOCK = 256  # samples evaluated per einsum in sample_E
 def sample_E(state: StateTensor, ks: Sequence[int], samples: int, seed: int = 0) -> float:
     """Monte-Carlo lower bound: best objective over Haar-random frames."""
     ks = _check_ranks(state.dims, ks)
-    if samples < 1:
-        raise BadParameter("need at least one sample")
+    if not _is_number(samples, Integral) or samples < 1:
+        raise BadParameter(f"samples must be an integer >= 1, got {samples!r}")
     rng = stream_rng(seed)
     # psi[a,b,..] * conj(V0)[s,a,i] * conj(V1)[s,b,j] * .. -> red[s,i,j,..]
     n = len(ks)

@@ -303,7 +303,7 @@ def apply_local_unitaries(state: StateTensor, units: Sequence[np.ndarray]) -> St
             raise DimensionMismatch(
                 f"unitary for party {p} has shape {u.shape}, need ({d}, {d})"
             )
-        if np.max(np.abs(u.conj().T @ u - np.eye(d))) > UNITARY_TOL:
+        if not np.abs(u.conj().T @ u - np.eye(d)).max() <= UNITARY_TOL:  # NaN fails too
             raise NonUnitary(f"matrix for party {p} is not unitary within {UNITARY_TOL:g}")
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [p])), 0, p)
     return StateTensor(state.dims, t.reshape(-1), state.label)

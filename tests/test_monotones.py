@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from entmono import catalog, locc, monotones
-from entmono.errors import BadGrouping, BadParameter, BadRank, DimensionMismatch, SumMismatch
+from entmono.errors import (
+    BadGrouping,
+    BadParameter,
+    BadRank,
+    DimensionMismatch,
+    NonUnitary,
+    SumMismatch,
+)
 from entmono.monotones import (
-    _starts,
     E_ensemble,
     MonotoneResult,
     ProjectorFrame,
@@ -73,6 +79,26 @@ def test_objective_bounded(rng):
 def test_objective_shape_check(ghz):
     with pytest.raises(DimensionMismatch):
         objective(ghz, [np.eye(2), np.eye(2), np.eye(3)])
+
+
+def test_objective_folds_unitary_frames(w):
+    # a k_i = d_i frame is unitary, so its projector is the identity
+    e0 = np.array([[1.0], [0.0]], dtype=complex)
+    u = haar_random_unitary(2, stream_rng(5, 0))
+    want = objective(w, [np.eye(2), e0, e0])
+    assert objective(w, [u, e0, e0]) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("frame, error", [
+    (np.array([[1.0, 1.0], [0.0, 1.0]]), NonUnitary),  # columns not orthonormal
+    (np.array([[2.0], [0.0]]), NonUnitary),  # a column not normalized
+    (np.array([1.0, 0.0]), DimensionMismatch),  # 1-D
+    (np.ones((2, 3)) / np.sqrt(2), DimensionMismatch),  # k > d
+    (np.zeros((2, 0)), DimensionMismatch),  # k = 0
+], ids=["skew", "unnormalized", "1-D", "k>d", "k=0"])
+def test_projector_frame_checks_its_frames(frame, error):
+    with pytest.raises(error):
+        ProjectorFrame((np.eye(2), frame))
 
 
 # -- bipartite closed form --
@@ -438,13 +464,37 @@ def test_unrestricted_parties_get_no_eigenvector_step(monkeypatch, spec, ks):
     solve_E(catalog.resolve_state(spec), ks, FAST)
 
 
+@pytest.mark.parametrize("spec, ks", [
+    ("haar:4x4x4:1", (2, 4, 4)),  # a lone swept party
+    ("haar:5x2x2:1", (2, 2, 1)),  # a lone swept party and a raised one
+    ("haar:3x3x3:1", (2, 2, 1)),  # an ascent and a raised party
+    ("haar:2x2x2:1", (1, 1, 1)),  # an all-ones ascent
+    ("haar:5x2x2:1", (4, 2, 2)),  # a raised party and no swept one
+    ("kempe1", (2, 2, 2)),  # no restricted party: no schedule
+])
+def test_every_schedule_of_a_solve_is_built_on_one_array(monkeypatch, spec, ks):
+    # psi is laid out once per solve, and the spectral start, the ascent
+    # and the raised party's step are all compiled on that array
+    arrays = []
+    init = monotones._Schedule.__init__
+
+    def recorded(self, t, *args):
+        arrays.append(t)
+        init(self, t, *args)
+
+    monkeypatch.setattr(monotones._Schedule, "__init__", recorded)
+    state = catalog.resolve_state(spec)
+    solve_E(state, ks, FAST)
+    assert len({id(t) for t in arrays}) == int(any(k < d for k, d in zip(ks, state.dims)))
+
+
 @pytest.mark.parametrize("n, want", [(2, 2), (3, 5), (4, 8), (5, 12), (6, 16), (12, 44)])
 def test_sweep_contractions_follow_the_dimension_tree(monkeypatch, n, want):
     # one sweep over n restricted parties costs C(n) = n + C(ceil(n/2)) +
     # C(floor(n/2)), C(1) = 0, party contractions, against n(n - 1) when
     # every party step contracts all the others afresh
     run = monotones._run
-    contractions = (monotones._LEAD, monotones._RIGHT, monotones._LEFT, monotones._MID)
+    contractions = (monotones._LEAD, monotones._RIGHT, monotones._MID)
     count = 0
 
     def counted(schedule, frames, gap_tol):
@@ -534,16 +584,16 @@ def test_starts_are_the_per_restart_haar_frames(dims, ks, restarts):
     # the frames that haar_random_frame draws from each restart's stream;
     # k = d parties still take their draws but get no stack
     cfg = SolverConfig(restarts=restarts, seed=7)
-    restricted = [p for p, (d, k) in enumerate(zip(dims, ks)) if k < d]
-    stacks = _starts(haar_random_state(dims, 3), ks, restricted, cfg)
+    restricted = tuple(p for p, (d, k) in enumerate(zip(dims, ks)) if k < d)
+    stacks = monotones._haar_starts(tuple(zip(dims, ks)), restricted, cfg.seed, cfg.restarts)
     assert len(stacks) == len(restricted)
     for stack, p in zip(stacks, restricted):
-        assert stack.shape == (restarts + 1, ks[p], dims[p])  # adjoints V^dag
+        assert stack.shape == (restarts, ks[p], dims[p])  # adjoints V^dag
     for r in range(restarts):
         rng = stream_rng(cfg.seed, r)
         want = [haar_random_frame(d, k, rng) for d, k in zip(dims, ks)]
         for stack, p in zip(stacks, restricted):
-            assert stack[r + 1].tobytes() == want[p].conj().T.tobytes()
+            assert stack[r].tobytes() == want[p].conj().T.tobytes()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 2.0, float("inf"), float("nan")])

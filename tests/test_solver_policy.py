@@ -4,10 +4,16 @@
 the party step that every frame update goes through, and never reaches
 ``numpy.einsum`` or ``numpy.tensordot``: its contractions are the matmuls
 of ``_run``.  A reference counts as well as a call, under any import alias.
+Every kind of operation that ``_run`` executes is one that some solve or
+``objective`` still compiles, so an unreachable kind goes with its branch.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from entmono import catalog, monotones
 
 MONOTONES = Path(__file__).resolve().parents[1] / "src" / "entmono" / "monotones.py"
 EIGEN_STEP = "_top_eigvecs"
@@ -88,3 +94,33 @@ def test_the_check_sees_planted_violations(tmp_path):
         "    return np.linalg.eigvalsh(m) @ m\n")
     lines = sorted(int(v.split(":")[1]) for v in _violations(planted))
     assert lines == [10, 11, 12, 13, 14, 15, 16]
+
+
+def _op_kinds() -> list[str]:
+    """The op-kind constants of ``monotones.py``: the names it binds to ``range(n)``."""
+    for node in ast.parse(MONOTONES.read_text()).body:
+        if (isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Tuple)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "range"):
+            return [name.id for name in node.targets[0].elts]
+    return []
+
+
+def test_every_op_kind_runs(monkeypatch):
+    kinds = _op_kinds()
+    assert kinds  # the check is not vacuous
+    ran = set()
+    run = monotones._run
+
+    def recorded(schedule, frames, gap_tol):
+        ran.update(op[0] for op in schedule.ops)
+        return run(schedule, frames, gap_tol)
+
+    monkeypatch.setattr(monotones, "_run", recorded)
+    cfg = monotones.SolverConfig(restarts=2, seed=1)
+    for spec, ks in [("haar:2x2x2:1", (1, 1, 1)), ("haar:3x3x3:1", (2, 2, 1)),
+                     ("haar:4x4x4:1", (4, 1, 2))]:
+        monotones.solve_E(catalog.resolve_state(spec), ks, cfg)
+    e0 = np.eye(2, dtype=complex)[:, :1]
+    monotones.objective(catalog.resolve_state("w"), (e0, e0, np.eye(2)))
+    assert [k for k in kinds if getattr(monotones, k) not in ran] == []
