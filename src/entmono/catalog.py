@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
 
+from .errors import BadParameter
 from .rng import haar_random_state
-from .states import StateTensor, load_state
+from .states import StateTensor, _integer, load_state
 
 
 def _amps3(entries: dict[tuple[int, int, int], complex]) -> np.ndarray:
@@ -19,8 +21,16 @@ def _amps3(entries: dict[tuple[int, int, int], complex]) -> np.ndarray:
     return v
 
 
+def _field(x, lo: int, hi: int | None = None) -> int:
+    """A family's N (lo = 2) or a Dicke state's K (lo = 0, hi = N) as an int."""
+    if (out := _integer(x, lo, hi)) is None:
+        raise BadParameter(f"need N an integer >= 2 and K one in 0..N, got {x!r}")
+    return out
+
+
 def ghz(n: int = 3) -> StateTensor:
-    """(|0...0> + |1...1>) / sqrt(2) on n qubits; labelled ``ghz`` at n = 3."""
+    """(|0...0> + |1...1>) / sqrt(2) on n >= 2 qubits; labelled ``ghz`` at n = 3."""
+    n = _field(n, 2)
     amps = np.zeros(2 ** n, dtype=complex)
     amps[[0, -1]] = 1 / sqrt(2)
     return StateTensor((2,) * n, amps, "ghz" if n == 3 else f"ghz:{n}")
@@ -28,7 +38,9 @@ def ghz(n: int = 3) -> StateTensor:
 
 def dicke(n: int, k: int) -> StateTensor:
     """Dicke state D(n, k): the equal superposition of the n-qubit basis
-    states with k ones."""
+    states with k ones, n >= 2 and 0 <= k <= n."""
+    n = _field(n, 2)
+    k = _field(k, 0, n)
     amps = np.zeros(2 ** n, dtype=complex)
     ones = [sum(1 << (n - 1 - q) for q in c) for c in combinations(range(n), k)]
     amps[ones] = 1 / sqrt(comb(n, k))
@@ -37,6 +49,7 @@ def dicke(n: int, k: int) -> StateTensor:
 
 def w(n: int = 3) -> StateTensor:
     """W state D(n, 1); labelled ``w`` at n = 3."""
+    n = _field(n, 2)
     return StateTensor((2,) * n, dicke(n, 1).amps, "w" if n == 3 else f"w:{n}")
 
 
@@ -93,24 +106,18 @@ def resolve_state(spec: str) -> StateTensor:
     name, _, fields = spec.partition(":")
     if name in FAMILIES:
         make, arity, example = FAMILIES[name]
-        try:
+        with suppress(ValueError):  # a non-integer field, or N or K out of range
             args = [int(f) for f in fields.split(":")]
-        except ValueError:
-            args = []  # a non-integer field is as bad a spec as a wrong count
-        # N >= 2, and a dicke spec's K (its last field) within 0..N
-        if len(args) != arity or args[0] < 2 or not 0 <= args[-1] <= args[0]:
-            raise KeyError(f"bad {name} spec {spec!r}; use {example}")
-        return make(*args)
+            if len(args) == arity:
+                return make(*args)
+        raise KeyError(f"bad {name} spec {spec!r}; use {example}")
     if spec == "haar" or spec.startswith("haar:"):
         parts = spec.split(":") + ["", ""]
-        try:
+        with suppress(ValueError):  # a non-integer field, or a bad dimension or seed
             dims = tuple(int(d) for d in parts[1].split("x")) if parts[1] else (2, 2, 2)
-            seed = int(parts[2]) if parts[2] else 0
-        except ValueError:
-            seed = -1  # a non-integer field is as bad a spec as a negative seed
-        if len(parts) > 5 or seed < 0:
-            raise KeyError(f"bad haar spec {spec!r}; use haar:2x2x2:7")
-        return haar(dims, seed)
+            if len(parts) <= 5:
+                return haar(dims, int(parts[2]) if parts[2] else 0)
+        raise KeyError(f"bad haar spec {spec!r}; use haar:2x2x2:7")
     if os.path.exists(spec):
         return load_state(spec)
     raise KeyError(

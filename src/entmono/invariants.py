@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Mapping
 
 import numpy as np
@@ -34,7 +33,7 @@ from .rng import haar_random_unitary, stream_rng
 from .states import (
     DensityOp,
     StateTensor,
-    _is_number,
+    _integer,
     apply_local_unitaries,
     odot,
     squared_norm,
@@ -205,7 +204,7 @@ def local_unitary_invariance_check(
     max(|baseline|, ||psi||^n), n the target's number of psi/psi* factors
     (0 for a callable).
     """
-    if not _is_number(trials, Integral) or trials < 1:
+    if _integer(trials, 1) is None:
         raise BadParameter(f"trials must be an integer >= 1, got {trials!r}")
     fn, degree = _as_evaluator(target)
     base = fn(state)

@@ -15,24 +15,24 @@ import functools
 import itertools
 from dataclasses import dataclass, fields
 from math import prod
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .contractions import eval_contraction, is_simple_form
-from .errors import BadGrouping, BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
+from .errors import BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
 from .invariants import _multiplicativity, _resolve_invariant
-from .monotones import (
-    SolverConfig,
+from .monotones import SolverConfig, coarse_grain, escalate, nielsen_E, result_is_trusted, solve_E
+from .states import (
+    PartyGrouping,
+    StateTensor,
+    _as_dims,
+    _check_covers,
     _check_ranks,
-    coarse_grain,
-    escalate,
-    nielsen_E,
-    result_is_trusted,
-    solve_E,
+    _integer,
+    odot,
+    squared_norm,
 )
-from .states import PartyGrouping, StateTensor, _is_number, odot, squared_norm
 
 WITNESS_TOL = 1e-6  # witness margin, relative to the larger squared norm
 COPY_RATIO_RTOL = 1e-8  # relative gap at which two invariant powers differ
@@ -58,7 +58,7 @@ class RankItem:
 
 def default_rank_items(dims: Sequence[int]) -> list[RankItem]:
     """Fine-grained rank vectors plus every two-block coarse-graining."""
-    return list(_rank_items(tuple(int(d) for d in dims)))
+    return list(_rank_items(_as_dims(dims)))
 
 
 def _items_for(state: StateTensor, rank_items: Sequence[RankItem] | None) -> tuple[RankItem, ...]:
@@ -94,14 +94,16 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
     application is already a fixed point: it lowers at most one party
     (the argument of ``monotones._raise_saturated``), and the lowered k_i
     is the product of the others, which leaves every other party at or
-    below its own product.
+    below its own product.  Each item is first held to the checks of a
+    direct solve: its grouping covers the parties (``_check_covers``) and
+    its ranks are integers in 1..d (``_check_ranks``).
     """
     classes: dict[RankItem, int] = {}
     index = []
     for item in items:
         g = item.grouping
-        if g is not None and g.n_parties != len(dims):
-            raise BadGrouping(f"grouping covers {g.n_parties} parties, state has {len(dims)}")
+        if g is not None:
+            _check_covers(g, len(dims))
         ks = _check_ranks(dims if g is None else g.block_dims(dims), item.ranks)
         ks = tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))
         index.append(classes.setdefault(RankItem(g, ks), len(classes)))
@@ -375,7 +377,7 @@ def copy_ratio_feasibility(
     merged-state evaluation at C1 = C2 = 2 is run as a spot check of the
     multiplicativity assumption, judged by ``multiplicativity_check``'s rule.
     """
-    if not _is_number(cmax, Integral) or not 1 <= cmax <= 8:
+    if _integer(cmax, 1, 8) is None:
         raise BadParameter(f"cmax must be an integer in 1..8, got {cmax!r}")
     _check_normalized(a, "a")
     _check_normalized(b, "b")

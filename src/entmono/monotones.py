@@ -22,31 +22,26 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from math import prod
-from numbers import Integral, Real
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadGrouping,
-    BadParameter,
-    BadRank,
-    DimensionMismatch,
-    NonUnitary,
-    SumMismatch,
-)
+from .errors import BadParameter, DimensionMismatch, NonUnitary, SumMismatch
 from .rng import _haar_frames, stream_rng
 from .states import (
     DensityOp,
     PartyGrouping,
     StateTensor,
     _check_covers,
+    _check_ranks,
+    _integer,
     _is_number,
+    _orthonormal,
     schmidt_values,
     squared_norm,
 )
 
-FRAME_TOL = 1e-10  # orthonormality of frame columns, a dimensionless check
 # The solver's thresholds are relative to the state's squared norm, so that
 # E(c psi) = |c|^2 E(psi) holds at every scale: the per-sweep convergence
 # test (SolverConfig.tol), the degenerate-cut gap, the agreement of a start
@@ -83,8 +78,7 @@ class ProjectorFrame:
                 raise DimensionMismatch(
                     f"frame {i} has shape {v.shape}; need d x k with 1 <= k <= d"
                 )
-            gram = v.conj().T @ v
-            if not np.abs(gram - np.eye(v.shape[1])).max() <= FRAME_TOL:  # NaN fails too
+            if not _orthonormal(v):
                 raise NonUnitary(f"frame {i} columns are not orthonormal")
             v.setflags(write=False)
             frames.append(v)
@@ -105,10 +99,8 @@ class SolverConfig:
     def __post_init__(self):
         # tol bounds a per-sweep gain relative to the squared norm, which
         # never reaches 1, so tol >= 1 would stop every start after one sweep
-        counts = (self.restarts, self.max_iters, self.seed)
-        if (not all(_is_number(c, Integral) for c in counts) or not _is_number(self.tol, Real)
-                or self.restarts < 1 or self.max_iters < 1 or not 0 < self.tol < 1
-                or self.seed < 0):
+        counts = (_integer(self.restarts, 1), _integer(self.max_iters, 1), _integer(self.seed, 0))
+        if None in counts or not _is_number(self.tol, Real) or not 0 < self.tol < 1:
             raise BadParameter("need integers restarts >= 1, max_iters >= 1, seed >= 0 "
                                "and a real 0 < tol < 1")
 
@@ -131,16 +123,6 @@ class MonotoneResult:
             "converged": self.converged,
             "restarts_agreeing": self.restarts_agreeing,
         }
-
-
-def _check_ranks(dims: Sequence[int], ks: Sequence[int]) -> tuple[int, ...]:
-    ks = tuple(int(k) for k in ks)
-    if len(ks) != len(dims):
-        raise BadRank(f"got {len(ks)} ranks for {len(dims)} parties")
-    for k, d in zip(ks, dims):
-        if k < 1 or k > d:
-            raise BadRank(f"rank {k} outside 1..{d}")
-    return ks
 
 
 def _frames_of(frame) -> tuple[np.ndarray, ...]:
@@ -321,13 +303,9 @@ def objective(state: StateTensor, frame) -> float:
 
 def bipartite_E(state: StateTensor, grouping: PartyGrouping, k1: int, k2: int) -> float:
     """Exact two-block value: the nielsen_E partial sum at min(k1, k2)."""
-    if len(grouping.blocks) != 2:
-        raise BadGrouping("bipartite_E needs a two-block grouping")
-    _check_covers(grouping, state)
-    d1, d2 = grouping.block_dims(state.dims)
-    if not (1 <= k1 <= d1) or not (1 <= k2 <= d2):
-        raise BadRank(f"ranks ({k1}, {k2}) outside block dims ({d1}, {d2})")
-    return float(nielsen_E(state, grouping)[min(k1, k2) - 1])
+    sums = nielsen_E(state, grouping)  # checks for two blocks that cover the state
+    k1, k2 = _check_ranks(grouping.block_dims(state.dims), (k1, k2))
+    return float(sums[min(k1, k2) - 1])
 
 
 def _top_eigvecs(m: np.ndarray, k: int, gap_tol: float):
@@ -557,7 +535,7 @@ def E_ensemble(members: Sequence[StateTensor], ks: Sequence[int],
 def coarse_grain(state: StateTensor, grouping: PartyGrouping) -> StateTensor:
     """Reinterpret blocks of parties as single parties (amplitudes unchanged
     when the blocks are in natural order)."""
-    _check_covers(grouping, state)
+    _check_covers(grouping, state.n_parties)
     perm = tuple(p for b in grouping.blocks for p in b)
     t = state.tensor().transpose(perm)
     return StateTensor(grouping.block_dims(state.dims), t.reshape(-1), state.label)
@@ -567,6 +545,8 @@ def coarse_grain(state: StateTensor, grouping: PartyGrouping) -> StateTensor:
 
 def trace_power_invariants(rho: DensityOp, dmax: int) -> np.ndarray:
     """tr rho^k for k = 1..dmax, from the eigenvalue spectrum."""
+    if _integer(dmax, 1) is None:
+        raise BadParameter(f"dmax must be an integer >= 1, got {dmax!r}")
     lam = rho.spectrum()
     return np.array([float(np.sum(lam ** k)) for k in range(1, dmax + 1)])
 
@@ -575,6 +555,8 @@ def symmetric_monotones(rho: DensityOp, dmax: int) -> tuple[np.ndarray, list]:
     """Elementary symmetric polynomials S_1..S_dmax of the spectrum and the
     consecutive ratios S_k/S_{k-1} (None where the denominator vanishes,
     that is, falls below SYMMETRIC_TOL tr(rho)^(k-1))."""
+    if _integer(dmax, 1) is None:
+        raise BadParameter(f"dmax must be an integer >= 1, got {dmax!r}")
     lam = rho.spectrum()
     weight = rho.trace()
     e = np.zeros(dmax + 1)

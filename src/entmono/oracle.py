@@ -1,22 +1,20 @@
 """Brute-force estimators used as independent cross-checks in the tests.
 
-Nothing here feeds the main computations.  The estimators share with the
-solver only the rank check (``_check_ranks``) and the batched Haar draw
-(``rng._haar_frames``); they evaluate the objective with their own einsum,
-never through the solver's contraction or eigenvector steps.
+Nothing here feeds the main computations.  The estimators share the
+package's rank check (``states._check_ranks``), and with the solver only the
+batched Haar draw (``rng._haar_frames``); they evaluate the objective with
+their own einsum, never through the solver's contraction or eigenvector steps.
 """
 
 from __future__ import annotations
 
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadParameter, ShapeMismatch
-from .monotones import _check_ranks
 from .rng import _haar_frames, stream_rng
-from .states import StateTensor, _is_number
+from .states import StateTensor, _check_ranks, _integer
 
 _BLOCK = 256  # samples evaluated per einsum in sample_E
 
@@ -24,7 +22,7 @@ _BLOCK = 256  # samples evaluated per einsum in sample_E
 def sample_E(state: StateTensor, ks: Sequence[int], samples: int, seed: int = 0) -> float:
     """Monte-Carlo lower bound: best objective over Haar-random frames."""
     ks = _check_ranks(state.dims, ks)
-    if not _is_number(samples, Integral) or samples < 1:
+    if _integer(samples, 1) is None:
         raise BadParameter(f"samples must be an integer >= 1, got {samples!r}")
     rng = stream_rng(seed)
     # psi[a,b,..] * conj(V0)[s,a,i] * conj(V1)[s,b,j] * .. -> red[s,i,j,..]

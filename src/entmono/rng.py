@@ -12,21 +12,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadParameter, BadRank
-from .states import StateTensor, _as_dims
+from .errors import BadParameter
+from .states import StateTensor, _as_dims, _check_ranks, _integer
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream); deterministic across runs."""
-    if seed < 0 or stream < 0:
-        raise BadParameter(f"seed and stream must be >= 0, got ({seed}, {stream})")
+    if _integer(seed, 0) is None or _integer(stream, 0) is None:
+        raise BadParameter(f"seed and stream must be integers >= 0, got ({seed!r}, {stream!r})")
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 def _rng_of(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return stream_rng(int(seed))
+    return seed if isinstance(seed, np.random.Generator) else stream_rng(seed)
 
 
 def _haar_frames(normals: np.ndarray, dims: Sequence[int], ks: Sequence[int]) -> list[np.ndarray]:
@@ -58,8 +56,7 @@ def haar_random_frame(d: int, k: int, seed) -> np.ndarray:
 
     ``seed`` may be an int or an existing Generator.
     """
-    if k < 1 or k > d:
-        raise BadRank(f"frame rank {k} must lie in 1..{d}")
+    (k,) = _check_ranks(_as_dims((d,)), (k,))
     rng = _rng_of(seed)
     return _haar_frames(rng.standard_normal((1, 2 * d * k)), (d,), (k,))[0][0]
 

@@ -24,6 +24,7 @@ from .errors import (
     BadDimension,
     BadGrouping,
     BadPartySet,
+    BadRank,
     DimensionMismatch,
     EmptyKeepSet,
     LengthMismatch,
@@ -38,9 +39,9 @@ from .errors import (
 # largest entry, so that they hold for c psi at every scale c.
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
-# Unitarity and Kraus completeness compare against the identity, so they
-# are dimensionless.
-UNITARY_TOL = 1e-10
+# Orthonormal columns (of a unitary or a projector frame) and Kraus
+# completeness compare against the identity, so they are dimensionless.
+ORTHONORMAL_TOL = 1e-10
 KRAUS_TOL = 1e-9
 
 
@@ -69,10 +70,15 @@ def _reduced_operator(t: np.ndarray, keep: Sequence[int]) -> np.ndarray:
 
 
 def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 1 for d in out):
-        raise BadDimension(f"party dimensions must all be >= 1, got {list(dims)}")
+    out = tuple(_integer(d, 1) for d in dims)
+    if not out or None in out:
+        raise BadDimension(f"party dimensions must all be integers >= 1, got {list(dims)}")
     return out
+
+
+def _orthonormal(v: np.ndarray) -> bool:
+    """Whether V^dag V is the identity within ORTHONORMAL_TOL (NaN fails)."""
+    return np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() <= ORTHONORMAL_TOL
 
 
 @dataclass(frozen=True)
@@ -172,25 +178,23 @@ class PartyGrouping:
     blocks: tuple[tuple[int, ...], ...] = field()
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(p) for p in b) for b in self.blocks)
+        blocks = tuple(tuple(_integer(p, 0) for p in b) for b in self.blocks)
         flat = [p for b in blocks for p in b]
         if not blocks or any(len(b) == 0 for b in blocks):
             raise BadGrouping("blocks must be nonempty")
-        if sorted(flat) != list(range(len(flat))):
-            raise BadGrouping(
-                f"blocks {list(blocks)} do not partition 0..{len(flat) - 1}"
-            )
+        if None in flat or sorted(flat) != list(range(len(flat))):
+            raise BadGrouping(f"blocks {list(self.blocks)} do not partition 0..{len(flat) - 1}")
         object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def trivial(cls, n_parties: int) -> "PartyGrouping":
-        return cls(tuple((p,) for p in range(n_parties)))
+        return cls(tuple((p,) for p in range(_party_count(n_parties))))
 
     @classmethod
     def split(cls, first_block: Iterable[int], n_parties: int) -> "PartyGrouping":
         """Two-block grouping: ``first_block`` versus everything else."""
-        first = tuple(sorted(int(p) for p in first_block))
-        rest = tuple(p for p in range(n_parties) if p not in first)
+        first = tuple(sorted(first_block))
+        rest = tuple(p for p in range(_party_count(n_parties)) if p not in first)
         return cls((first, rest))
 
     @property
@@ -201,11 +205,26 @@ class PartyGrouping:
         return tuple(prod(dims[p] for p in b) for b in self.blocks)
 
 
-def _check_covers(grouping: PartyGrouping, state: StateTensor) -> None:
-    if grouping.n_parties != state.n_parties:
+def _party_count(n) -> int:
+    if (count := _integer(n, 1)) is None:
+        raise BadGrouping(f"the party count must be an integer >= 1, got {n!r}")
+    return count
+
+
+def _check_covers(grouping: PartyGrouping, n_parties: int) -> None:
+    if grouping.n_parties != n_parties:
         raise BadGrouping(
-            f"grouping covers {grouping.n_parties} parties, state has {state.n_parties}"
+            f"grouping covers {grouping.n_parties} parties, state has {n_parties}"
         )
+
+
+def _check_ranks(dims: Sequence[int], ks: Sequence[int]) -> tuple[int, ...]:
+    """The subspace ranks k_i as ints, each in 1..d_i."""
+    ks = tuple(ks)
+    out = tuple(_integer(k, 1, d) for k, d in zip(ks, dims))
+    if len(ks) != len(dims) or None in out:
+        raise BadRank(f"ranks {list(ks)} for dims {list(dims)}: need integers k_i in 1..d_i")
+    return out
 
 
 def new_state(dims: Sequence[int], amps, label: str | None = None) -> StateTensor:
@@ -223,10 +242,12 @@ def pure_density(state: StateTensor) -> DensityOp:
 
 
 def _check_parties(parties: Iterable[int], n: int, what: str) -> tuple[int, ...]:
-    ps = sorted({int(p) for p in parties})
-    if any(p < 0 or p >= n for p in ps):
-        raise BadPartySet(f"{what} {ps} out of range for {n} parties")
-    return tuple(ps)
+    """The distinct party indices, ascending, each an integer in 0..n-1."""
+    given = list(parties)
+    ps = {_integer(p, 0, n - 1) for p in given}
+    if None in ps:
+        raise BadPartySet(f"{what} {given} must be integers in 0..{n - 1}")
+    return tuple(sorted(ps))
 
 
 def reduced_density(state: StateTensor, keep: Iterable[int]) -> DensityOp:
@@ -285,7 +306,7 @@ def schmidt_values(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
     """
     if len(grouping.blocks) != 2:
         raise BadGrouping("schmidt_values needs exactly two blocks")
-    _check_covers(grouping, state)
+    _check_covers(grouping, state.n_parties)
     return _spectrum(_reduced_operator(state.tensor(), grouping.blocks[0]))[1]
 
 
@@ -303,8 +324,8 @@ def apply_local_unitaries(state: StateTensor, units: Sequence[np.ndarray]) -> St
             raise DimensionMismatch(
                 f"unitary for party {p} has shape {u.shape}, need ({d}, {d})"
             )
-        if not np.abs(u.conj().T @ u - np.eye(d)).max() <= UNITARY_TOL:  # NaN fails too
-            raise NonUnitary(f"matrix for party {p} is not unitary within {UNITARY_TOL:g}")
+        if not _orthonormal(u):
+            raise NonUnitary(f"matrix for party {p} is not unitary within {ORTHONORMAL_TOL:g}")
         t = np.moveaxis(np.tensordot(u, t, axes=([1], [p])), 0, p)
     return StateTensor(state.dims, t.reshape(-1), state.label)
 
@@ -317,9 +338,7 @@ def apply_unilocal_kraus(
     The operators may be rectangular (output dim x input dim) but must
     satisfy sum_j A_j^dag A_j <= I on the party's space.
     """
-    n = state.n_parties
-    if party < 0 or party >= n:
-        raise BadPartySet(f"party {party} out of range for {n} parties")
+    party, = _check_parties([party], state.n_parties, "party")
     d = state.dims[party]
     ops = [np.asarray(a, dtype=complex) for a in kraus]
     if not ops:
@@ -359,6 +378,15 @@ def _is_number(x, kind) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def _integer(x, lo: int, hi: int | None = None) -> int | None:
+    """x as an int when it is an integer in lo..hi (hi None: no bound) and
+    not a bool, else None; the one integer check of the package, whose
+    callers raise the typed error of their kind of argument."""
+    if _is_number(x, Integral) and lo <= x and (hi is None or x <= hi):
+        return int(x)
+    return None
+
+
 def state_from_dict(data: dict) -> StateTensor:
     if not isinstance(data, dict):
         raise LengthMismatch(f"state record must be an object, got {type(data).__name__}")
@@ -367,7 +395,7 @@ def state_from_dict(data: dict) -> StateTensor:
         raw = data["amps"]
     except KeyError as exc:
         raise LengthMismatch(f"state record is missing field {exc}") from None
-    if not isinstance(dims, (list, tuple)) or not all(_is_number(d, Integral) for d in dims):
+    if not isinstance(dims, (list, tuple)):
         raise BadDimension(f"dims must be a list of integers, got {dims!r}")
     if not isinstance(raw, (list, tuple)):
         raise LengthMismatch("amps must be a list of [re, im] pairs")

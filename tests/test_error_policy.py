@@ -3,6 +3,9 @@
 ``EntmonoError`` is itself a ``ValueError``, so a bare ``raise ValueError``
 in the package is an error that callers and the CLI cannot tell apart from
 an unrelated crash; it belongs in a subclass from ``entmono.errors``.
+
+Every integer argument goes through the one check ``states._integer``, so
+``states.py`` is the only module that reaches ``numbers.Integral``.
 """
 
 import ast
@@ -12,13 +15,38 @@ import numpy as np
 import pytest
 
 from entmono import catalog
-from entmono.errors import BadParameter, NonUnitary, SumMismatch
+from entmono.errors import (
+    BadDimension,
+    BadGrouping,
+    BadParameter,
+    BadPartySet,
+    BadRank,
+    NonUnitary,
+    SumMismatch,
+)
 from entmono.invariants import local_unitary_invariance_check
-from entmono.locc import copy_ratio_feasibility
-from entmono.monotones import SolverConfig, majorizes, objective
+from entmono.locc import RankItem, compare_dlocc, copy_ratio_feasibility, default_rank_items
+from entmono.monotones import (
+    SolverConfig,
+    bipartite_E,
+    majorizes,
+    objective,
+    solve_E,
+    symmetric_monotones,
+    trace_power_invariants,
+)
 from entmono.oracle import sample_E
 from entmono.rng import haar_random_frame, haar_random_state, stream_rng
-from entmono.states import apply_local_unitaries
+from entmono.states import (
+    DensityOp,
+    PartyGrouping,
+    StateTensor,
+    apply_local_unitaries,
+    apply_unilocal_kraus,
+    partial_trace,
+    pure_density,
+    reduced_density,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "entmono"
 
@@ -35,6 +63,35 @@ def test_no_bare_value_errors_are_raised():
     assert not bare, "raise ValueError at:\n" + "\n".join(bare)
 
 
+def _integral_users(src: Path) -> list[str]:
+    """Where a module other than states.py imports or reads numbers.Integral."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "states.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                hit = any(alias.name in ("Integral", "*") for alias in node.names)
+            else:
+                hit = isinstance(node, ast.Attribute) and node.attr == "Integral"
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_states_checks_for_integers():
+    found = _integral_users(SRC)
+    assert not found, "numbers.Integral outside states.py at:\n" + "\n".join(found)
+
+
+def test_the_check_sees_a_second_integer_check(tmp_path):
+    (tmp_path / "states.py").write_text("from numbers import Integral\n")
+    (tmp_path / "m.py").write_text(
+        "import numbers\nfrom numbers import Real\nfrom numbers import Integral as I\n"
+        "from numbers import *\n\ndef f(x):\n    return isinstance(x, numbers.Integral)\n")
+    assert _integral_users(tmp_path) == ["m.py:3", "m.py:4", "m.py:7"]
+
+
 @pytest.mark.parametrize("call", [
     lambda: haar_random_state((2, 2), -1),
     lambda: haar_random_frame(3, 2, -1),
@@ -48,20 +105,61 @@ def test_negative_seeds_raise_a_typed_error(call):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: SolverConfig(max_iters=1.5),
-    lambda: SolverConfig(restarts=2.5),
-    lambda: SolverConfig(seed=1.5),
-    lambda: SolverConfig(tol="x"),
-    lambda: copy_ratio_feasibility(catalog.resolve_state("ghz"), catalog.resolve_state("w"),
-                                   ["I4_1"], cmax=2.5),
-    lambda: local_unitary_invariance_check("I6", catalog.resolve_state("ghz"), trials=2.5),
-    lambda: sample_E(catalog.resolve_state("w"), (1, 1, 1), 2.5),
-], ids=["max_iters", "restarts", "seed", "tol", "cmax", "trials", "samples"])
-def test_non_integer_counts_raise_a_typed_error(call):
+W = catalog.w()
+RHO = reduced_density(W, [0])
+I2 = np.eye(2)
+
+
+@pytest.mark.parametrize("error, call", [
+    (BadParameter, lambda: SolverConfig(max_iters=1.5)),
+    (BadParameter, lambda: SolverConfig(restarts=2.5)),
+    (BadParameter, lambda: SolverConfig(seed=1.5)),
+    (BadParameter, lambda: SolverConfig(tol="x")),
+    (BadParameter, lambda: copy_ratio_feasibility(catalog.ghz(), W, ["I4_1"], cmax=2.5)),
+    (BadParameter, lambda: local_unitary_invariance_check("I6", catalog.ghz(), trials=2.5)),
+    (BadParameter, lambda: sample_E(W, (1, 1, 1), 2.5)),
+    (BadParameter, lambda: sample_E(W, (1, 1, 1), 4, seed=1.5)),
+    (BadParameter, lambda: haar_random_state((2, 2), 1.5)),
+    (BadParameter, lambda: stream_rng(1.5)),
+    (BadParameter, lambda: stream_rng(0, True)),
+    (BadRank, lambda: haar_random_frame(3, 1.5, 0)),
+    (BadDimension, lambda: haar_random_frame(2.5, 1, 0)),
+    (BadRank, lambda: solve_E(W, (1.5, 1, 1))),
+    (BadRank, lambda: solve_E(W, (True, 1, 1))),
+    (BadRank, lambda: compare_dlocc(W, W, [RankItem(None, (1.5, 1, 1))])),
+    (BadRank, lambda: bipartite_E(W, PartyGrouping.split((0,), 3), 1.5, 1)),
+    (BadDimension, lambda: StateTensor((2.5, 2), np.ones(4))),
+    (BadDimension, lambda: DensityOp((True, 4), np.eye(4))),
+    (BadDimension, lambda: default_rank_items((2.5, 2))),
+    (BadPartySet, lambda: reduced_density(W, [0.7])),
+    (BadPartySet, lambda: partial_trace(pure_density(W), [0.5])),
+    (BadPartySet, lambda: apply_unilocal_kraus(W, 0.5, [I2])),
+    (BadPartySet, lambda: apply_unilocal_kraus(W, True, [I2])),
+    (BadGrouping, lambda: PartyGrouping.split((0,), 2.5)),
+    (BadGrouping, lambda: PartyGrouping.trivial(2.5)),
+    (BadGrouping, lambda: PartyGrouping(((0,), (True,)))),
+    (BadParameter, lambda: trace_power_invariants(RHO, 1.5)),
+    (BadParameter, lambda: trace_power_invariants(RHO, -1)),
+    (BadParameter, lambda: symmetric_monotones(RHO, 1.5)),
+    (BadParameter, lambda: symmetric_monotones(RHO, -1)),
+    (BadParameter, lambda: catalog.dicke(3, 5)),
+    (BadParameter, lambda: catalog.dicke(3, -1)),
+    (BadParameter, lambda: catalog.ghz(1.5)),
+    (BadParameter, lambda: catalog.w(1.5)),
+    (BadParameter, lambda: catalog.ghz(1)),
+], ids=["max_iters", "restarts", "seed", "tol", "cmax", "trials", "samples",
+        "sample_E_seed", "haar_state_seed", "stream_rng_seed", "stream_rng_stream",
+        "frame_rank", "frame_dim", "solve_E_float", "solve_E_bool", "compare_dlocc",
+        "bipartite_E", "StateTensor", "DensityOp", "default_rank_items",
+        "reduced_density", "partial_trace", "kraus_float", "kraus_bool", "split",
+        "trivial", "grouping_bool", "trace_powers_float", "trace_powers_negative",
+        "symmetric_float", "symmetric_negative", "dicke_k_high", "dicke_k_negative",
+        "ghz_float", "w_float", "ghz_one"])
+def test_non_integer_counts_raise_a_typed_error(error, call):
     # a float count reached range() or SeedSequence and raised a bare
-    # TypeError, and a non-real tol failed its own comparison the same way
-    with pytest.raises(BadParameter):
+    # TypeError, and a non-real tol failed its own comparison the same way;
+    # int() coercion turned 1.5 or True into a valid index, rank or seed
+    with pytest.raises(error):
         call()
 
 
