@@ -382,7 +382,9 @@ def _integer(x, lo: int, hi: int | None = None) -> int | None:
     """x as an int when it is an integer in lo..hi (hi None: no bound) and
     not a bool, else None; the one integer check of the package, whose
     callers raise the typed error of their kind of argument."""
-    if _is_number(x, Integral) and lo <= x and (hi is None or x <= hi):
+    # type(x) is int settles the common case without the ABC check, which
+    # costs about a microsecond per call (bool is a subclass, not int itself)
+    if (type(x) is int or _is_number(x, Integral)) and lo <= x and (hi is None or x <= hi):
         return int(x)
     return None
 

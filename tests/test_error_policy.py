@@ -115,9 +115,11 @@ I2 = np.eye(2)
     (BadParameter, lambda: SolverConfig(restarts=2.5)),
     (BadParameter, lambda: SolverConfig(seed=1.5)),
     (BadParameter, lambda: SolverConfig(tol="x")),
-    (BadParameter, lambda: copy_ratio_feasibility(catalog.ghz(), W, ["I4_1"], cmax=2.5)),
-    (BadParameter, lambda: local_unitary_invariance_check("I6", catalog.ghz(), trials=2.5)),
-    (BadParameter, lambda: sample_E(W, (1, 1, 1), 2.5)),
+    (BadParameter, lambda: copy_ratio_feasibility(catalog.resolve_state("ghz"),
+                                                  catalog.resolve_state("w"), ["I4_1"], cmax=2.5)),
+    (BadParameter, lambda: local_unitary_invariance_check("I6", catalog.resolve_state("ghz"),
+                                                          trials=2.5)),
+    (BadParameter, lambda: sample_E(catalog.resolve_state("w"), (1, 1, 1), 2.5)),
     (BadParameter, lambda: sample_E(W, (1, 1, 1), 4, seed=1.5)),
     (BadParameter, lambda: haar_random_state((2, 2), 1.5)),
     (BadParameter, lambda: stream_rng(1.5)),
