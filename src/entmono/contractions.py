@@ -178,31 +178,6 @@ def _union_find(pairs: Iterable[tuple[str, ...]]) -> Callable[[str], str]:
     return find
 
 
-def _check_dims(expr: ContractionExpr, dims: tuple[int, ...]) -> None:
-    """Every index gets one dimension (psi slots pin it, delta/eps equate
-    their two indices), and eps indices get dimension 2."""
-    find = _union_find(f.indices for f in expr.factors if f.kind in (DELTA, EPSILON))
-    dim_of_root: dict[str, int] = {}
-    for f in expr.factors:
-        if f.kind not in (PSI, PSI_CONJ):
-            continue
-        for slot, ix in enumerate(f.indices):
-            root = find(ix)
-            d = dims[slot]
-            if dim_of_root.setdefault(root, d) != d:
-                raise DimensionMismatch(
-                    f"index {ix!r} is bound to dimensions "
-                    f"{dim_of_root[root]} and {d} at once"
-                )
-    for f in expr.factors:
-        for ix in f.indices:
-            d = dim_of_root.get(find(ix))
-            if d is None:
-                raise DimensionMismatch(f"cannot infer the dimension of index {ix!r}")
-            if f.kind == EPSILON and d != 2:
-                raise EpsDimensionError(f"eps index {ix!r} is bound to dimension {d}, need 2")
-
-
 def _purification(state) -> np.ndarray:
     """psi[e, i_0, ..., i_{N-1}] with sum_e psi psi^* = the state: one
     environment value for a pure state, psi[e] = sqrt(w_e) v_e for a
@@ -217,20 +192,40 @@ def _purification(state) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _compile(expr: ContractionExpr, shape: tuple[int, ...]) -> tuple[str, tuple[str, ...], tuple]:
     """einsum subscripts, operand kinds and contraction path of ``expr`` on
-    a purification of this shape (environment axis first)."""
-    _check_dims(expr, shape[1:])
+    a purification of this shape (environment axis first).
+
+    This is the one dimension check of a contraction.  Delta-joined indices
+    merge into one einsum index, which takes the dimension of its psi/psi*
+    slots; an index on an eps factor has dimension 2; and every index must
+    get a dimension, which fails only for a loop of deltas alone.
+    """
     same = _union_find(f.indices for f in expr.factors if f.kind == DELTA)
     pairs = {PSI: 0, PSI_CONJ: 0}
-    rows, kinds = [], []
+    dim: dict[str, int] = {}
+    rows, kinds, eps = [], [], []
     for f in expr.factors:
         if f.kind == DELTA:
             continue
         row = [same(ix) for ix in f.indices]
         if f.kind in pairs:
+            for ix, key, d in zip(f.indices, row, shape[1:]):
+                if dim.setdefault(key, d) != d:
+                    raise DimensionMismatch(
+                        f"index {ix!r} is bound to dimensions {dim[key]} and {d} at once")
             row.insert(0, ("env", pairs[f.kind]))
             pairs[f.kind] += 1
+        else:
+            eps += zip(f.indices, row)
         rows.append(row)
         kinds.append(f.kind)
+    # after every psi slot is pinned: an eps on a slot of dimension d != 2 is an eps error
+    for ix, key in eps:
+        if dim.setdefault(key, 2) != 2:
+            raise EpsDimensionError(f"eps index {ix!r} is bound to dimension {dim[key]}, need 2")
+    loose = [ix for f in expr.factors if f.kind == DELTA for ix in f.indices
+             if same(ix) not in dim]
+    if loose:
+        raise DimensionMismatch(f"cannot infer the dimension of index {loose[0]!r}")
     keys = dict.fromkeys(key for row in rows for key in row)
     if len(keys) > len(string.ascii_letters):
         raise IndexArityError(f"expression needs {len(keys)} distinct indices, at most 52")

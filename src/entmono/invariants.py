@@ -63,28 +63,22 @@ TANGLE_TEXT = (
     " * eps[j,j2] * eps[k,k2] * eps[m,m2] * eps[n,n2] * eps[p,p2]"
 )
 
-
-@functools.cache
-def _parsed_builtins() -> dict[str, ContractionExpr]:
-    return {name: parse_contraction(text) for name, text in BUILTIN_PATTERN_TEXT.items()}
+# parsed once at import; the tangle is psi-only by design, since the
+# hyperdeterminant is an SL(2)^3 invariant
+_BUILTINS = {name: parse_contraction(text) for name, text in BUILTIN_PATTERN_TEXT.items()}
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DegreeImbalanceWarning)
+    _TANGLE = parse_contraction(TANGLE_TEXT)
 
 
 def builtin_patterns() -> dict[str, ContractionExpr]:
     """Parsed contraction expressions for the built-in invariants."""
-    return dict(_parsed_builtins())
-
-
-@functools.cache
-def _tangle_expr() -> ContractionExpr:
-    # psi-only by design: the hyperdeterminant is an SL(2)^3 invariant
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegreeImbalanceWarning)
-        return parse_contraction(TANGLE_TEXT)
+    return dict(_BUILTINS)
 
 
 @functools.cache
 def _tangle_square_terms() -> list[tuple[int, ContractionExpr]]:
-    return expand_eps_square(_tangle_expr())
+    return expand_eps_square(_TANGLE)
 
 
 def _builtin_value(name: str, state) -> float:
@@ -92,7 +86,7 @@ def _builtin_value(name: str, state) -> float:
         raise PartyCountUnsupported(
             f"built-in invariants are defined for 3 parties, got {state.n_parties}"
         )
-    out = eval_contraction(_parsed_builtins()[name], state)
+    out = eval_contraction(_BUILTINS[name], state)
     if out.imag_warning:
         warnings.warn(
             f"{name} has imaginary part {out.value.imag:.3g}; returning the real part"
@@ -117,7 +111,7 @@ def _check_three_qubits(state) -> None:
 def tangle(state: StateTensor) -> float:
     """Residual tangle: twice the modulus of the epsilon-contracted quartic."""
     _check_three_qubits(state)
-    return 2.0 * abs(eval_contraction(_tangle_expr(), state).value)
+    return 2.0 * abs(eval_contraction(_TANGLE, state).value)
 
 
 def tangle_squared_expanded(state: StateTensor) -> float:
@@ -232,7 +226,7 @@ def _resolve_invariant(spec) -> tuple[str, ContractionExpr]:
         if "[" in spec:
             return spec, parse_contraction(spec)
         if spec in BUILTIN_PATTERN_TEXT:
-            return spec, _parsed_builtins()[spec]
+            return spec, _BUILTINS[spec]
         raise KeyError(f"unknown invariant name {spec!r}")
     raise TypeError(f"invariant spec must be text or ContractionExpr, not {type(spec).__name__}")
 
@@ -242,7 +236,7 @@ def _as_evaluator(target) -> tuple[Callable[[StateTensor], complex], int]:
     if callable(target):
         return target, 0
     if isinstance(target, str) and target == "tangle":
-        return tangle, _degree(_tangle_expr())
+        return tangle, _degree(_TANGLE)
     name, expr = _resolve_invariant(target)
     if name in BUILTIN_PATTERN_TEXT:
         return (lambda s: _builtin_value(name, s)), _degree(expr)

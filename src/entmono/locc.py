@@ -392,8 +392,9 @@ def copy_ratio_feasibility(
     va = [eval_contraction(expr, a).value for _, expr in named]
     vb = [eval_contraction(expr, b).value for _, expr in named]
 
-    spot = [_multiplicativity(eval_contraction(expr, odot(state, state)).value, value * value)
-            for (_, expr), x, y in zip(named, va, vb) for state, value in ((a, x), (b, y))]
+    aa, bb = odot(a, a), odot(b, b)
+    spot = [_multiplicativity(eval_contraction(expr, merged).value, value * value)
+            for (_, expr), x, y in zip(named, va, vb) for merged, value in ((aa, x), (bb, y))]
 
     feasible = []
     for c1, c2 in itertools.product(range(1, cmax + 1), repeat=2):

@@ -403,8 +403,9 @@ def state_from_dict(data: dict) -> StateTensor:
         raise LengthMismatch("amps must be a list of [re, im] pairs")
     amps = []
     for entry in raw:
+        # type(x) settles plain ints and floats without the ABC check, as in _integer
         if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                or not all(_is_number(x, Real) for x in entry)):
+                or not all(type(x) in (int, float) or _is_number(x, Real) for x in entry)):
             raise LengthMismatch("each amplitude must be a [re, im] pair of numbers")
         amps.append(complex(entry[0], entry[1]))
     return StateTensor(tuple(dims), np.array(amps, dtype=complex), data.get("label"))

@@ -72,6 +72,9 @@ def test_eval_from_file(tmp_path, capsys):
     {"dims": None, "amps": []},
     {"dims": [2], "amps": [["a", "b"], [0, 0]]},
     [1, 2],
+    {"dims": [2], "amps": [[True, 0], [0, 0]]},
+    {"dims": [2]},
+    {"dims": [2], "amps": "ab"},
 ])
 def test_eval_rejects_malformed_state_files(tmp_path, capsys, record):
     path = tmp_path / "bad.json"
@@ -154,6 +157,31 @@ def test_invariants_defs_error_names_its_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_invariants_without_defs_needs_three_parties(capsys):
+    code, out, err = run(capsys, "invariants", "--state", "haar:2x2x2x2:1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: state has 4 parties; built-ins need 3 "
+                   "(pass --defs for custom contractions)\n")
+
+
+@pytest.mark.parametrize("imag, shown", [
+    (1e-13, "= 1"),  # below IMAG_DISPLAY_TOL of the modulus: not shown
+    (1e-11, "= 1 + 1e-11i"),
+    (1e-3, "= 1 + 0.001i  (imag_warning)"),  # past REAL_TOL
+])
+def test_invariants_human_defs_row(tmp_path, capsys, imag, shown):
+    # psi[i,j,k] psi*[j,k,i] = |a000|^2 + a001 conj(a010) = 1 + i imag
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2],
+                                "amps": [[1, 0], [0, imag], [1, 0]] + [[0, 0]] * 5}))
+    defs = tmp_path / "my.inv"
+    defs.write_text("psi[i,j,k] * psi*[j,k,i]\n")
+    code, out, err = run(capsys, "invariants", "--state", str(path), "--defs", str(defs))
+    assert code == 0
+    assert out.splitlines()[-1] == f"defs:1  psi[i,j,k] * psi*[j,k,i]  {shown}"
+
+
 def test_compare_slocc_w_ghz(capsys):
     code, out, err = run(
         capsys, "compare", "--a", "w", "--b", "ghz", "--mode", "slocc",
@@ -169,6 +197,12 @@ def test_compare_copies_kempe(capsys):
     )
     assert code == 0
     assert "no feasible (C1,C2) up to (4,4)" in out
+
+
+def test_compare_copies_self_prints_its_pairs(capsys):
+    code, out, err = run(capsys, "compare", "--a", "w", "--b", "w", "--mode", "copies")
+    assert code == 0
+    assert out == "feasible (C1,C2): (1,1), (2,2), (3,3), (4,4)\n"
 
 
 @pytest.mark.parametrize("mode,flags", [

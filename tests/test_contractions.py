@@ -156,6 +156,30 @@ def test_eval_delta_chain_dimension_inference():
     assert out.value.real == pytest.approx(1.0, abs=1e-12)
 
 
+MANY_PAIRS = " * ".join(f"psi[a{n},b{n},c{n}] * psi*[a{n},b{n},c{n}]" for n in range(14))
+
+
+@pytest.mark.parametrize("text, dims, error", [
+    ("psi[a,b] * psi*[c,d] * delta[a,d] * delta[c,b]", (2, 3), DimensionMismatch),
+    ("psi[i,j] * psi*[i,j] * delta[a,b] * delta[b,a]", (2, 3), DimensionMismatch),
+    # an eps joining a dimension-2 slot to a dimension-3 slot is an eps error
+    ("psi[a,b] * psi*[c,d] * eps[a,d] * eps[c,b]", (2, 3), EpsDimensionError),
+    # 14 environment indices and 42 party indices, past the 52 einsum letters
+    (MANY_PAIRS, (2, 2, 2), IndexArityError),
+], ids=["delta_2_to_3", "pure_delta_loop", "eps_2_to_3", "over_52_letters"])
+def test_eval_rejects_indices_it_cannot_bind(text, dims, error):
+    s = new_state(list(dims), np.ones(int(np.prod(dims))))
+    with pytest.raises(error):
+        eval_contraction(parse_contraction(text), s)
+
+
+def test_eval_eps_alone_binds_dimension_2():
+    # eps[a,b] eps[b,a] = -sum_ab eps_ab^2 = -2, times |psi|^2 = 9; a and b sit on no psi slot
+    expr = parse_contraction("psi[i] * psi*[i] * eps[a,b] * eps[b,a]")
+    out = eval_contraction(expr, new_state([3], [1, 2, 2]))
+    assert out.value == -18
+
+
 def test_eval_matches_trace_path_on_random_states():
     patterns = {name: parse_contraction(t) for name, t in BUILTIN_PATTERN_TEXT.items()}
     cases = random_states((2, 2, 2), 4, seed=50) + random_states((3, 3, 3), 2, seed=51)

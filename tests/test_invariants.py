@@ -203,6 +203,8 @@ def test_multiplicativity_kempe(kempe1):
     report = multiplicativity_check(builtin_patterns()["I4_1"], kempe1, kempe1)
     assert report.passed
     assert report.value_merged.real == pytest.approx(I4_KEMPE ** 2, abs=1e-12)
+    assert report.to_dict()["value_merged"] == [report.value_merged.real,
+                                                report.value_merged.imag]
 
 
 def test_multiplicativity_i2():
@@ -237,6 +239,8 @@ def test_lu_invariance_builtin(ghz):
     report = local_unitary_invariance_check("I6", ghz, trials=20, seed=5)
     assert report.passed
     assert report.max_deviation < 1e-9
+    assert report.to_dict() == {"baseline": report.baseline, "trials": 20,
+                                "max_deviation": report.max_deviation, "passed": True}
 
 
 def test_lu_invariance_tangle_on_w(w):

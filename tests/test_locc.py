@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entmono import catalog, locc
-from entmono.errors import NotNormalized, NotSimpleForm, StructureMismatch
+from entmono.errors import BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
 from entmono.locc import (
     RankItem,
     compare_dlocc,
@@ -280,6 +280,11 @@ def test_copy_ratio_rejects_unnormalized(ghz):
 def test_copy_ratio_cmax_range(ghz, w):
     with pytest.raises(ValueError):
         copy_ratio_feasibility(ghz, w, ("I4_1",), cmax=9)
+
+
+def test_copy_ratio_needs_an_invariant(kempe1, kempe2):
+    with pytest.raises(BadParameter):
+        copy_ratio_feasibility(kempe1, kempe2, [])
 
 
 def test_explicit_rank_items(w, ghz):

@@ -188,6 +188,7 @@ def test_result_contract(w):
     d = res.to_dict()
     assert set(d) == {"value", "ranks", "converged", "restarts_agreeing"}
     assert d["ranks"] == [1, 1, 1]
+    assert res.certificate.ranks == (1, 1, 1)
 
 
 @pytest.mark.parametrize("ks", [(1, 1, 1), (2, 2, 1)])

@@ -264,6 +264,8 @@ def test_apply_local_unitaries_rejects_nonunitary(ghz):
 def test_apply_local_unitaries_dimension_mismatch(ghz):
     with pytest.raises(DimensionMismatch):
         apply_local_unitaries(ghz, [np.eye(2), np.eye(3), np.eye(2)])
+    with pytest.raises(DimensionMismatch):
+        apply_local_unitaries(ghz, [np.eye(2), np.eye(2)])
 
 
 def test_kraus_identity_is_noop(w):
@@ -301,6 +303,8 @@ def test_kraus_trace_increasing_rejected(ghz):
 def test_kraus_shape_mismatch(ghz):
     with pytest.raises(DimensionMismatch):
         apply_unilocal_kraus(ghz, 0, [np.eye(3)])
+    with pytest.raises(DimensionMismatch):
+        apply_unilocal_kraus(ghz, 0, [])
 
 
 def test_kraus_rectangular_output_dim(ghz):
