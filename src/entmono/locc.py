@@ -1,12 +1,16 @@
 """Convertibility obstructions derived from the monotones and invariants.
 
-Three verdict machines:
+One rule with two readings: M_k = |psi|^2 - E_k cannot increase on average
+under LOCC, for every rank class k.  Both read one table of per-class
+(E(source), E(target)) rows, built under one trust rule by ``_class_rows``:
 
-* deterministic-LOCC comparison: the monotones cannot decrease, so a
-  witness rank with E(target) < E(source) blocks the conversion;
-* stochastic-LOCC probability bounds p <= (1 - E(source)) / (1 - E(target));
-* copy-ratio feasibility for collective unitary processing, using the
-  multiplicativity of simple-form invariants.
+* deterministic LOCC (one outcome, p = 1) needs E(target) >= E(source), so
+  a witness rank with E(target) < E(source) blocks the conversion;
+* stochastic LOCC (the target with probability p, plus a failure branch
+  with M >= 0) needs p <= (1 - E(source)) / (1 - E(target)).
+
+Copy-ratio feasibility for collective unitary processing stands apart: it
+uses the multiplicativity of simple-form invariants.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .contractions import eval_contraction, is_simple_form
-from .errors import BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
+from .errors import (BadGrouping, BadParameter, BadRank, NotNormalized, NotSimpleForm,
+                     StructureMismatch)
 from .invariants import _multiplicativity, _resolve_invariant
-from .monotones import SolverConfig, coarse_grain, escalate, nielsen_E, result_is_trusted, solve_E
+from .monotones import SolverConfig, coarse_grain, escalate, nielsen_E, solve_E
 from .states import (
     PartyGrouping,
     StateTensor,
@@ -62,7 +67,17 @@ def default_rank_items(dims: Sequence[int]) -> list[RankItem]:
 
 
 def _items_for(state: StateTensor, rank_items: Sequence[RankItem] | None) -> tuple[RankItem, ...]:
-    return tuple(rank_items) if rank_items is not None else _rank_items(state.dims)
+    if rank_items is None:
+        return _rank_items(state.dims)
+    items = tuple(rank_items)
+    for item in items:  # typed before ``_rank_classes`` hashes them
+        if not isinstance(item, RankItem):
+            raise BadParameter(f"rank items must be RankItem, got {item!r}")
+        if not isinstance(item.grouping, (PartyGrouping, type(None))):
+            raise BadGrouping(f"grouping must be None or a PartyGrouping, got {item.grouping!r}")
+        if not isinstance(item.ranks, tuple):
+            raise BadRank(f"ranks must be a tuple, got {item.ranks!r}")
+    return items
 
 
 @functools.lru_cache(maxsize=32)
@@ -146,13 +161,18 @@ def _pair_array(pairs, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _ClassRows:
-    """Rank items and the rank class of each; a subclass adds per-class
-    rows as read-only (classes, 2) arrays, one small buffer per report
-    rather than a Python float or bool per entry.  Reports are equal, and
-    hash alike, when their items, index and array bytes are."""
+    """Rank items, the rank class of each, and the (E_a, E_b) row of every
+    class; per-class rows are read-only (classes, 2) arrays, one small
+    buffer per report rather than a Python float or bool per entry.
+    Reports are equal, and hash alike, when their items, index and array
+    bytes are."""
 
     items: tuple[RankItem, ...]
     index: tuple[int, ...]
+    values: np.ndarray  # (classes, 2) float64
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _pair_array(self.values, float))
 
     def _key(self) -> tuple:
         return tuple(v.tobytes() if isinstance(v, np.ndarray) else v
@@ -172,11 +192,10 @@ class ComparisonReport(_ClassRows):
     """Rank items with the (E_a, E_b) row and the (a -> b, b -> a) witness
     flags of their rank classes; ``index`` maps each item to its class."""
 
-    values: np.ndarray  # (classes, 2) float64
     blocked: np.ndarray  # (classes, 2) bool
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _pair_array(self.values, float))
+        super().__post_init__()
         object.__setattr__(self, "blocked", _pair_array(self.blocked, bool))
 
     @property
@@ -224,11 +243,20 @@ def compare_dlocc(
     A witness against a -> b is a rank with E(b) < E(a) - 1e-6 m, m the
     larger squared norm; each rank class is evaluated once per state.
     Since the solver returns lower bounds, an underestimated E(b) could
-    fake a witness; a candidate class whose smaller side is not found by at
-    least half the restarts is re-solved once with doubled restarts, and
-    its rows are dropped as witnesses if still unconfirmed.
+    fake a witness, so a witness is reported only if its low side passes
+    the trust rule of ``_class_rows``.
     """
     _check_same_structure(a, b)
+    return ComparisonReport(*_class_rows(a, b, rank_items, cfg))
+
+
+def _class_rows(a, b, rank_items, cfg):
+    """(items, index, values, blocked) of a pair of states: the table both
+    verdicts read.  Each rank class is profiled once per state.  Where one
+    side is lower by more than the witness margin, that low side is judged
+    by the trust rule (``_trusted``); if it fails, the class is re-solved
+    once on that side with doubled restarts and the row holds the new
+    value.  A class blocks a conversion only if its low side is trusted."""
     cfg = cfg or SolverConfig()
     items = _items_for(a, rank_items)
     classes, index = _rank_classes(items, a.dims)
@@ -243,7 +271,7 @@ def compare_dlocc(
         e_b, trusted_b = _confirm_low_side(b, rank_class, cfg, res_b, e_b, low_b)
         values.append((e_a, e_b))
         blocked.append((e_b < e_a - tol and trusted_b, e_a < e_b - tol and trusted_a))
-    return ComparisonReport(items, index, values, blocked)
+    return items, index, values, blocked
 
 
 def _confirm_low_side(state, rank_class, cfg, res, value, low: bool):
@@ -253,45 +281,38 @@ def _confirm_low_side(state, rank_class, cfg, res, value, low: bool):
     spectrum (no result) is always trusted."""
     if res is None:
         return value, True
-    if low and not result_is_trusted(res, cfg):
+    if low and not _trusted(res, cfg):
         cfg = escalate(cfg)
         value, res = _solve(state, rank_class, cfg)
-    return value, result_is_trusted(res, cfg)
+    return value, _trusted(res, cfg)
+
+
+def _trusted(res, cfg: SolverConfig) -> bool:
+    """The trust rule: at least max(1, restarts // 2) of the restarts + 1
+    starts found the reported value.  The best start always counts, so with
+    1 to 3 restarts every value is trusted and nothing is re-solved."""
+    return res.restarts_agreeing >= max(1, cfg.restarts // 2)
 
 
 @dataclass(frozen=True)
-class SloccRow:
-    item: RankItem
-    e_a: float
-    e_b: float
+class SloccRow(ComparisonRow):
     bound: float | None  # None: this rank imposes no restriction
 
     def to_dict(self) -> dict:
-        return {
-            "rank": self.item.key(),
-            "E_a": self.e_a,
-            "E_b": self.e_b,
-            "bound": "unconstrained" if self.bound is None else self.bound,
-        }
+        bound = "unconstrained" if self.bound is None else self.bound
+        return {**super().to_dict(), "bound": bound}
 
 
 def _row_bound(e_a: float, e_b: float) -> float | None:
     """p <= (1 - E(a)) / (1 - E(b)) for one rank; None if it does not restrict."""
-    num, den = 1.0 - e_a, 1.0 - e_b
-    if den > NORM_TOL:
-        return max(num, 0.0) / den
-    return 0.0 if num <= NORM_TOL and abs(e_a - e_b) > WITNESS_TOL else None
+    den = 1.0 - e_b
+    return max(1.0 - e_a, 0.0) / den if den > NORM_TOL else None
 
 
 @dataclass(frozen=True, eq=False)
 class SloccReport(_ClassRows):
     """Rank items with the (E_a, E_b) row of their rank classes; ``index``
     maps each item to its class, and the bounds are derived on access."""
-
-    values: np.ndarray  # (classes, 2) float64
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _pair_array(self.values, float))
 
     @property
     def rows(self) -> tuple[SloccRow, ...]:
@@ -321,19 +342,15 @@ def slocc_bound(
     """Upper bounds on the probability of converting a into b stochastically.
 
     Per rank, p <= (1 - E(a)) / (1 - E(b)).  Ranks where E(b) is 1 impose
-    no restriction, unless E(a) is also 1 while the values remain
-    distinguishable, in which case the conversion is outright impossible.
-    The overall bound is the minimum of the constrained rows clamped to
-    [0, 1].  Each rank class is evaluated once per state.
+    no restriction.  The overall bound is the minimum of the constrained
+    rows clamped to [0, 1].  The rows are those of ``compare_dlocc``: each
+    rank class is evaluated once per state, and an untrusted low side is
+    re-solved once with doubled restarts.
     """
     _check_same_structure(a, b)
     _check_normalized(a, "a")
     _check_normalized(b, "b")
-    cfg = cfg or SolverConfig()
-    items = _items_for(a, rank_items)
-    classes, index = _rank_classes(items, a.dims)
-    values = [(e_a, e_b) for (e_a, _), (e_b, _)
-              in zip(_profile(a, classes, cfg), _profile(b, classes, cfg))]
+    items, index, values, _ = _class_rows(a, b, rank_items, cfg)
     return SloccReport(items, index, values)
 
 

@@ -598,11 +598,6 @@ def escalate(cfg: SolverConfig, factor: int = 2) -> SolverConfig:
     return replace(cfg, restarts=cfg.restarts * factor)
 
 
-def result_is_trusted(result: MonotoneResult, cfg: SolverConfig) -> bool:
-    """Heuristic: at least half the starts found the reported value."""
-    return result.restarts_agreeing >= max(1, cfg.restarts // 2)
-
-
 __all__ = [
     "ProjectorFrame",
     "SolverConfig",
@@ -617,5 +612,4 @@ __all__ = [
     "majorizes",
     "nielsen_E",
     "escalate",
-    "result_is_trusted",
 ]

@@ -190,6 +190,12 @@ def test_eval_matches_trace_path_on_random_states():
             assert abs(eval_contraction(expr, x).value - want[name]) < 1e-12, (name, x.dims)
 
 
+def test_eval_needs_a_state_or_operator(ghz):
+    expr = parse_contraction("psi[i,j,k] * psi*[i,j,k]")
+    with pytest.raises(TypeError):
+        eval_contraction(expr, "x")
+
+
 def test_eval_unbalanced_on_density_is_typed_error(ghz):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegreeImbalanceWarning)

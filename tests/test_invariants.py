@@ -30,7 +30,7 @@ from entmono.invariants import (
 )
 from entmono.locc import copy_ratio_feasibility
 from entmono.rng import haar_random_state
-from entmono.states import StateTensor, new_state, pure_density
+from entmono.states import StateTensor, new_state, pure_density, squared_norm
 
 from conftest import mixed_op, random_states, trace_reference
 
@@ -166,11 +166,13 @@ def test_tangle_matches_loop_oracle():
         assert tangle(s) == pytest.approx(loop_tangle(s), abs=1e-12)
 
 
-def test_tangle_party_count(rng):
+def test_tangle_party_count(rng, ghz):
     with pytest.raises(PartyCountUnsupported):
         tangle(haar_random_state((2, 2), 66))
     with pytest.raises(PartyCountUnsupported):
         tangle(haar_random_state((3, 2, 2), 67))
+    with pytest.raises(TypeError):  # a density operator, even of a pure state
+        tangle(pure_density(ghz))
 
 
 def test_tangle_squared_expansion_reference(ghz, w):
@@ -290,6 +292,8 @@ def test_lu_check_is_judged_at_the_invariants_scale(c):
     # mixing the slots of parties 0 and 1 breaks the invariance
     swapped = parse_contraction("psi[i,j,k] * psi*[j,i,k]")
     assert not local_unitary_invariance_check(swapped, scaled, trials=5, seed=1).passed
+    # a callable has degree 0: its deviation is judged against max(|baseline|, 1)
+    assert local_unitary_invariance_check(squared_norm, scaled, trials=5, seed=1).passed
 
 
 def test_mixed_operator_is_diagonalized_once(monkeypatch):

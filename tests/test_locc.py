@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from entmono import catalog, locc
-from entmono.errors import BadParameter, NotNormalized, NotSimpleForm, StructureMismatch
+from entmono.errors import (
+    BadGrouping,
+    BadParameter,
+    BadRank,
+    NotNormalized,
+    NotSimpleForm,
+    StructureMismatch,
+)
 from entmono.locc import (
     RankItem,
     compare_dlocc,
@@ -14,7 +21,7 @@ from entmono.locc import (
 )
 from entmono.monotones import MonotoneResult, SolverConfig
 from entmono.rng import haar_random_state
-from entmono.states import StateTensor, new_state, pure_density
+from entmono.states import PartyGrouping, StateTensor, new_state, pure_density
 
 from conftest import trace_reference
 
@@ -91,6 +98,45 @@ def test_escalated_low_side_judged_against_escalated_restarts(
         assert report.a_to_b_blocked == (tuple(it.key() for it in items) if blocked else ())
 
 
+@pytest.mark.parametrize("agreeing", [20, 40])
+def test_slocc_rows_pass_the_trust_rule(monkeypatch, w, ghz, agreeing):
+    # b's low value 0.4 is found by 5 of 33 starts, so the class is re-solved
+    # once with 64 restarts; the row holds the re-solved 0.45 whether or
+    # not `agreeing` of its 65 starts confirm it
+    restarts_seen = []
+
+    def fake_solve(state, ks, cfg):
+        restarts_seen.append(cfg.restarts)
+        if state is w:
+            return MonotoneResult(0.6, ks, None, True, cfg.restarts + 1)
+        if cfg.restarts == 32:
+            return MonotoneResult(0.4, ks, None, True, 5)
+        return MonotoneResult(0.45, ks, None, True, agreeing)
+
+    monkeypatch.setattr(locc, "solve_E", fake_solve)
+    report = slocc_bound(w, ghz, [RankItem(None, (1, 1, 1))], SolverConfig(restarts=32))
+    assert restarts_seen == [32, 32, 64]
+    assert [(r.e_a, r.e_b) for r in report.rows] == [(0.6, 0.45)]
+    assert report.rows[0].bound == pytest.approx(0.4 / 0.55, rel=1e-15)
+
+
+@pytest.mark.parametrize("items, error", [
+    ([(1, 1, 1)], BadParameter),
+    ("(1,1,1)", BadParameter),
+    ([RankItem(None, [1, 1, 1])], BadRank),
+    ([RankItem(None, 3)], BadRank),
+    ([RankItem("x", (1, 1))], BadGrouping),
+    ([RankItem(((0,), (1, 2)), (1, 1))], BadGrouping),
+], ids=["bare_ranks", "string", "rank_list", "rank_int", "grouping_str", "grouping_tuple"])
+def test_malformed_rank_items_raise_a_typed_error(w, ghz, items, error):
+    # each used to crash with an untyped AttributeError or TypeError
+    for verdict in (compare_dlocc, slocc_bound):
+        with pytest.raises(error):
+            verdict(w, ghz, items, CFG)
+    # the well-formed item of the last case is accepted
+    assert compare_dlocc(w, ghz, [RankItem(PartyGrouping(((0,), (1, 2))), (1, 1))], CFG).rows
+
+
 def _rank_class(item):
     """Rank items naming one monotone: two-block values depend on min(k1, k2)
     only, and E_(k) on the fixed point of k_i -> min(k_i, prod_{j != i} k_j)."""
@@ -156,6 +202,7 @@ def test_reports_compare_and_hash_by_rows(w, ghz):
     fwd, again = compare_dlocc(w, ghz, cfg=fast), compare_dlocc(w, ghz, cfg=fast)
     assert fwd == again and hash(fwd) == hash(again)
     assert fwd != compare_dlocc(ghz, w, cfg=fast)
+    assert fwd != slocc_bound(w, ghz, cfg=fast)  # the report types never compare equal
     # an unconstrained bound is derived on access as None and compares equal
     prod = new_state([2, 2], [1, 0, 0, 0])
     one, two = slocc_bound(prod, prod, cfg=fast), slocc_bound(prod, prod, cfg=fast)
@@ -285,6 +332,8 @@ def test_copy_ratio_cmax_range(ghz, w):
 def test_copy_ratio_needs_an_invariant(kempe1, kempe2):
     with pytest.raises(BadParameter):
         copy_ratio_feasibility(kempe1, kempe2, [])
+    with pytest.raises(TypeError):
+        copy_ratio_feasibility(kempe1, kempe2, [3])
 
 
 def test_explicit_rank_items(w, ghz):

@@ -6,6 +6,11 @@ the party step that every frame update goes through, and never reaches
 of ``_run``.  A reference counts as well as a call, under any import alias.
 Every kind of operation that ``_run`` executes is one that some solve or
 ``objective`` still compiles, so an unreachable kind goes with its branch.
+
+Both conversion verdicts of ``locc.py`` read one table: ``_class_rows`` is
+the only function that profiles the states or confirms a low side, and
+``_confirm_low_side`` the only one that escalates a solve.  The trust rule
+lives in ``locc.py`` alone, so ``monotones.py`` defines no trust helper.
 """
 
 import ast
@@ -15,7 +20,9 @@ import numpy as np
 
 from entmono import catalog, monotones
 
-MONOTONES = Path(__file__).resolve().parents[1] / "src" / "entmono" / "monotones.py"
+SRC = Path(__file__).resolve().parents[1] / "src" / "entmono"
+MONOTONES = SRC / "monotones.py"
+LOCC = SRC / "locc.py"
 EIGEN_STEP = "_top_eigvecs"
 EIGH = "numpy.linalg.eigh"
 FORBIDDEN = {"numpy.einsum", "numpy.tensordot"}
@@ -124,3 +131,63 @@ def test_every_op_kind_runs(monkeypatch):
     e0 = np.eye(2, dtype=complex)[:, :1]
     monotones.objective(catalog.resolve_state("w"), (e0, e0, np.eye(2)))
     assert [k for k in kinds if getattr(monotones, k) not in ran] == []
+
+
+VERDICT_CALLERS = {
+    "_profile": {"_class_rows"},
+    "_confirm_low_side": {"_class_rows"},
+    "escalate": {"_confirm_low_side"},
+}
+
+
+def _referrers(path: Path, names) -> dict[str, set[str]]:
+    """Name -> the innermost functions (or ``<module>``) that refer to it."""
+    found = {name: set() for name in names}
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name) and node.id in found:
+            found[node.id].add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+    return found
+
+
+def _trust_helpers(path: Path) -> list[str]:
+    return [node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "trust" in node.name]
+
+
+def test_the_verdicts_have_one_row_path():
+    assert _referrers(LOCC, VERDICT_CALLERS) == VERDICT_CALLERS
+    assert _trust_helpers(MONOTONES) == []
+    assert _trust_helpers(LOCC)  # the check is not vacuous
+
+
+def test_the_check_sees_a_second_row_path(tmp_path):
+    planted = tmp_path / "m.py"
+    planted.write_text(
+        "def _class_rows():\n"
+        "    return _profile(), _confirm_low_side()\n"
+        "\n"
+        "def _confirm_low_side():\n"
+        "    return escalate()\n"
+        "\n"
+        "def slocc_bound():\n"
+        "    values = _profile()\n"
+        "    return [escalate for _ in values]\n"
+        "\n"
+        "def result_is_trusted(result, cfg):\n"
+        "    return True\n"
+        "\n"
+        "profile = _confirm_low_side\n")
+    assert _referrers(planted, VERDICT_CALLERS) == {
+        "_profile": {"_class_rows", "slocc_bound"},
+        "_confirm_low_side": {"_class_rows", "<module>"},
+        "escalate": {"_confirm_low_side", "slocc_bound"},
+    }
+    assert _trust_helpers(planted) == ["result_is_trusted"]
