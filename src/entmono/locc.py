@@ -75,8 +75,8 @@ def _items_for(state: StateTensor, rank_items: Sequence[RankItem] | None) -> tup
             raise BadParameter(f"rank items must be RankItem, got {item!r}")
         if not isinstance(item.grouping, (PartyGrouping, type(None))):
             raise BadGrouping(f"grouping must be None or a PartyGrouping, got {item.grouping!r}")
-        if not isinstance(item.ranks, tuple):
-            raise BadRank(f"ranks must be a tuple, got {item.ranks!r}")
+        if not isinstance(item.ranks, tuple) or any(_integer(k, 1) is None for k in item.ranks):
+            raise BadRank(f"ranks must be a tuple of integers >= 1, got {item.ranks!r}")
     return items
 
 

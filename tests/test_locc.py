@@ -125,9 +125,11 @@ def test_slocc_rows_pass_the_trust_rule(monkeypatch, w, ghz, agreeing):
     ("(1,1,1)", BadParameter),
     ([RankItem(None, [1, 1, 1])], BadRank),
     ([RankItem(None, 3)], BadRank),
+    ([RankItem(None, ([1], 1, 1))], BadRank),
     ([RankItem("x", (1, 1))], BadGrouping),
     ([RankItem(((0,), (1, 2)), (1, 1))], BadGrouping),
-], ids=["bare_ranks", "string", "rank_list", "rank_int", "grouping_str", "grouping_tuple"])
+], ids=["bare_ranks", "string", "rank_list", "rank_int", "rank_in_a_list", "grouping_str",
+        "grouping_tuple"])
 def test_malformed_rank_items_raise_a_typed_error(w, ghz, items, error):
     # each used to crash with an untyped AttributeError or TypeError
     for verdict in (compare_dlocc, slocc_bound):
