@@ -27,12 +27,14 @@ from .contractions import eval_contraction, is_simple_form
 from .errors import (BadGrouping, BadParameter, BadRank, NotNormalized, NotSimpleForm,
                      StructureMismatch)
 from .invariants import _multiplicativity, _resolve_invariant
-from .monotones import SolverConfig, coarse_grain, escalate, nielsen_E, solve_E
+from .monotones import (SolverConfig, _raise_saturated, coarse_grain, escalate, nielsen_E,
+                        solve_E)
 from .states import (
     PartyGrouping,
     StateTensor,
     _as_dims,
     _check_covers,
+    _check_pure,
     _check_ranks,
     _integer,
     odot,
@@ -102,35 +104,58 @@ def _two_block_splits(n: int) -> list[tuple[int, ...]]:
 def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
     """(one item per rank class, the class index of each item).
 
-    The items of a class name one monotone, which a profile evaluates once:
-    E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j), because party
-    i's conditional operator has at most that rank, so the class item holds
-    the image of that map; on two blocks this is min(k1, k2) twice.  One
-    application is already a fixed point: it lowers at most one party
-    (the argument of ``monotones._raise_saturated``), and the lowered k_i
-    is the product of the others, which leaves every other party at or
-    below its own product.  Each item is first held to the checks of a
-    direct solve: its grouping covers the parties (``_check_covers``) and
-    its ranks are integers in 1..d (``_check_ranks``).
+    The items of a class name one monotone, which a profile evaluates once.
+    Each item is first held to the checks of a direct solve: its grouping
+    covers the parties (``_check_covers``) and its ranks are integers in
+    1..d (``_check_ranks``).  Then:
+
+    * E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j), because
+      block i's conditional operator has at most that rank.  One
+      application is already a fixed point: it lowers at most one block
+      (the argument of ``monotones._raise_saturated``), and the lowered k_i
+      is the product of the others, which leaves every other block at or
+      below its own product.  On two blocks this is min(k1, k2) twice.
+    * The one raise ``monotones._raise_saturated`` allows (k_i -> d_i) also
+      leaves E unchanged.  The blocks with k < d, not counting the raised
+      one, are the restricted blocks.
+    * With two blocks, or at most one restricted block, the projector is
+      the identity off one block, so E_(k) is the sum of the k largest
+      Schmidt values across that block's cut (Nielsen).  The class is then
+      the two-block split of that block against the rest, oriented as
+      ``_two_block_splits`` orients it, at ranks (k, k): k is the block's
+      rank, and block 0 stands in when no block is restricted (E is the
+      squared norm).  So (1,2,2) and [0|12](1,1) on three qubits are one
+      class.  An item of one block has no cut and keeps its class.
     """
     classes: dict[RankItem, int] = {}
     index = []
+    n = len(dims)
     for item in items:
         g = item.grouping
         if g is not None:
-            _check_covers(g, len(dims))
-        ks = _check_ranks(dims if g is None else g.block_dims(dims), item.ranks)
+            _check_covers(g, n)
+        bdims = dims if g is None else g.block_dims(dims)
+        ks = _check_ranks(bdims, item.ranks)
         ks = tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))
+        raised = _raise_saturated(bdims, ks)
+        restricted = [i for i, (k, d) in enumerate(zip(ks, bdims)) if k < d and i != raised]
+        if len(ks) == 2 or (len(ks) > 2 and len(restricted) <= 1):
+            i = restricted[0] if restricted else 0
+            block = (i,) if g is None else g.blocks[i]
+            side = block if 0 in block else set(range(n)).difference(block)
+            g, ks = PartyGrouping.split(side, n), (ks[i], ks[i])
         index.append(classes.setdefault(RankItem(g, ks), len(classes)))
     return tuple(classes), tuple(index)
 
 
 def _profile(state: StateTensor, classes: tuple[RankItem, ...], cfg: SolverConfig) -> list:
-    """(value, solver result or None) of each rank class on one state; the
-    two-block classes of one split read one Schmidt spectrum."""
+    """(value, solver result or None) of each rank class on one state.
+    Every two-block class is a Schmidt partial sum (``_rank_classes``), and
+    the classes of one split read one spectrum (``nielsen_E``); the other
+    classes, with at least two restricted blocks, are solved."""
     spectra = {g: nielsen_E(state, g) for g in dict.fromkeys(
-        c.grouping for c in classes if c.grouping is not None and len(c.ranks) == 2)}
-    return [(float(spectra[c.grouping][c.ranks[0] - 1]), None) if c.grouping in spectra
+        c.grouping for c in classes if len(c.ranks) == 2)}
+    return [(float(spectra[c.grouping][c.ranks[0] - 1]), None) if len(c.ranks) == 2
             else _solve(state, c, cfg) for c in classes]
 
 
@@ -241,18 +266,23 @@ def compare_dlocc(
     """Deterministic-conversion obstructions in both directions.
 
     A witness against a -> b is a rank with E(b) < E(a) - 1e-6 m, m the
-    larger squared norm; each rank class is evaluated once per state.
-    Since the solver returns lower bounds, an underestimated E(b) could
-    fake a witness, so a witness is reported only if its low side passes
-    the trust rule of ``_class_rows``.
+    larger squared norm.  Each rank class is evaluated once per distinct
+    state; a class with two blocks or at most one restricted block reads
+    a Schmidt spectrum (``_rank_classes``), so on two parties this is
+    Nielsen's majorization test and nothing is solved.  Since the solver
+    returns lower bounds, an underestimated E(b) could fake a witness, so
+    a witness is reported only if its low side passes the trust rule of
+    ``_class_rows``.  Both states must be StateTensors (TypeError).
     """
+    _check_pure(a, b)
     _check_same_structure(a, b)
     return ComparisonReport(*_class_rows(a, b, rank_items, cfg))
 
 
 def _class_rows(a, b, rank_items, cfg):
     """(items, index, values, blocked) of a pair of states: the table both
-    verdicts read.  Each rank class is profiled once per state.  Where one
+    verdicts read.  Each rank class is profiled once per distinct state: b
+    is profiled only if its amplitudes differ from a's.  Where one
     side is lower by more than the witness margin, that low side is judged
     by the trust rule (``_trusted``); if it fails, the class is re-solved
     once on that side with doubled restarts and the row holds the new
@@ -262,9 +292,10 @@ def _class_rows(a, b, rank_items, cfg):
     classes, index = _rank_classes(items, a.dims)
     tol = WITNESS_TOL * max(squared_norm(a), squared_norm(b))
 
+    profile_a = _profile(a, classes, cfg)
+    profile_b = profile_a if np.array_equal(a.amps, b.amps) else _profile(b, classes, cfg)
     values, blocked = [], []
-    for rank_class, (e_a, res_a), (e_b, res_b) in zip(
-            classes, _profile(a, classes, cfg), _profile(b, classes, cfg)):
+    for rank_class, (e_a, res_a), (e_b, res_b) in zip(classes, profile_a, profile_b):
         # candidate witnesses: firm up the (possibly undersolved) low side
         low_a, low_b = e_a < e_b - tol, e_b < e_a - tol
         e_a, trusted_a = _confirm_low_side(a, rank_class, cfg, res_a, e_a, low_a)
@@ -344,9 +375,11 @@ def slocc_bound(
     Per rank, p <= (1 - E(a)) / (1 - E(b)).  Ranks where E(b) is 1 impose
     no restriction.  The overall bound is the minimum of the constrained
     rows clamped to [0, 1].  The rows are those of ``compare_dlocc``: each
-    rank class is evaluated once per state, and an untrusted low side is
-    re-solved once with doubled restarts.
+    rank class is evaluated once per distinct state, from a Schmidt
+    spectrum where it has one, and an untrusted low side is re-solved once
+    with doubled restarts.  Both states must be StateTensors (TypeError).
     """
+    _check_pure(a, b)
     _check_same_structure(a, b)
     _check_normalized(a, "a")
     _check_normalized(b, "b")
@@ -394,6 +427,7 @@ def copy_ratio_feasibility(
     merged-state evaluation at C1 = C2 = 2 is run as a spot check of the
     multiplicativity assumption, judged by ``multiplicativity_check``'s rule.
     """
+    _check_pure(a, b)
     if _integer(cmax, 1, 8) is None:
         raise BadParameter(f"cmax must be an integer in 1..8, got {cmax!r}")
     _check_normalized(a, "a")

@@ -34,6 +34,7 @@ from .states import (
     PartyGrouping,
     StateTensor,
     _check_covers,
+    _check_pure,
     _check_ranks,
     _integer,
     _is_number,
@@ -486,6 +487,7 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     ``restarts_agreeing`` counts starts that landed within 1e-8 (relative
     to the squared norm) of the best, as a crude confidence signal.
     """
+    _check_pure(state)
     cfg = cfg or SolverConfig()
     ks = _check_ranks(state.dims, ks)
     raised = _raise_saturated(state.dims, ks)

@@ -218,6 +218,13 @@ def _check_covers(grouping: PartyGrouping, n_parties: int) -> None:
         )
 
 
+def _check_pure(*states) -> None:
+    """Each argument is a StateTensor; anything else raises TypeError."""
+    for state in states:
+        if not isinstance(state, StateTensor):
+            raise TypeError(f"expected a StateTensor, got {type(state).__name__}")
+
+
 def _check_ranks(dims: Sequence[int], ks: Sequence[int]) -> tuple[int, ...]:
     """The subspace ranks k_i as ints, each in 1..d_i."""
     ks = tuple(ks)

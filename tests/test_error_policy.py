@@ -25,7 +25,8 @@ from entmono.errors import (
     SumMismatch,
 )
 from entmono.invariants import local_unitary_invariance_check
-from entmono.locc import RankItem, compare_dlocc, copy_ratio_feasibility, default_rank_items
+from entmono.locc import (RankItem, compare_dlocc, copy_ratio_feasibility, default_rank_items,
+                          slocc_bound)
 from entmono.monotones import (
     SolverConfig,
     bipartite_E,
@@ -162,6 +163,20 @@ def test_non_integer_counts_raise_a_typed_error(error, call):
     # TypeError, and a non-real tol failed its own comparison the same way;
     # int() coercion turned 1.5 or True into a valid index, rank or seed
     with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: compare_dlocc(pure_density(W), W),
+    lambda: compare_dlocc(W, None),
+    lambda: slocc_bound(pure_density(W), W),
+    lambda: copy_ratio_feasibility(pure_density(W), W, ["I2"]),
+    lambda: solve_E(pure_density(W), (1, 1, 1)),
+], ids=["compare_density", "compare_none", "slocc_density", "copy_ratio_density",
+        "solve_density"])
+def test_a_pure_state_api_names_the_wrong_type(call):
+    # each used to end in an AttributeError on `.amps` or `.dims`
+    with pytest.raises(TypeError, match="expected a StateTensor, got (DensityOp|NoneType)"):
         call()
 
 

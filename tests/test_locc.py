@@ -19,9 +19,10 @@ from entmono.locc import (
     default_rank_items,
     slocc_bound,
 )
-from entmono.monotones import MonotoneResult, SolverConfig
+from entmono.monotones import MonotoneResult, SolverConfig, majorizes
 from entmono.rng import haar_random_state
-from entmono.states import PartyGrouping, StateTensor, new_state, pure_density
+from entmono.states import (PartyGrouping, StateTensor, new_state, pure_density,
+                            schmidt_values)
 
 from conftest import trace_reference
 
@@ -139,24 +140,37 @@ def test_malformed_rank_items_raise_a_typed_error(w, ghz, items, error):
     assert compare_dlocc(w, ghz, [RankItem(PartyGrouping(((0,), (1, 2))), (1, 1))], CFG).rows
 
 
-def _rank_class(item):
-    """Rank items naming one monotone: two-block values depend on min(k1, k2)
-    only, and E_(k) on the fixed point of k_i -> min(k_i, prod_{j != i} k_j)."""
+def _rank_class(item, dims):
+    """The monotone an item names.  E_(k) is unchanged by k_i -> min(k_i,
+    prod_{j != i} k_j), taken to its fixed point, and by raising to d_i the
+    first block with 2 <= k_i < d_i that reaches that product.  With two
+    blocks, or at most one block left restricted (k < d, the raised one
+    aside), E is the sum of the k largest Schmidt values across that
+    block's cut (block 0's if none is restricted): the monotone is the cut,
+    as party 0's side, and k."""
+    n = len(dims)
+    blocks = item.grouping.blocks if item.grouping else tuple((p,) for p in range(n))
+    bdims = [math.prod(dims[p] for p in b) for b in blocks]
     ks = item.ranks
-    if item.grouping is not None:
-        return item.grouping, min(ks)
-    while True:
-        low = tuple(min(k, math.prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))
-        if low == ks:
-            return None, ks
+    while (low := tuple(min(k, math.prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))) != ks:
         ks = low
+    saturated = [i for i, (k, d) in enumerate(zip(ks, bdims))
+                 if 2 <= k < d and k >= math.prod(ks[:i] + ks[i + 1:])]
+    restricted = [i for i, (k, d) in enumerate(zip(ks, bdims)) if k < d and i not in saturated[:1]]
+    if len(blocks) == 2 or (len(blocks) > 2 and len(restricted) <= 1):
+        i = (restricted or [0])[0]
+        side = set(blocks[i]) if 0 in blocks[i] else set(range(n)) - set(blocks[i])
+        return frozenset(side), ks[i]
+    return blocks, ks
 
 
-@pytest.mark.parametrize("sa, sb, solves, iterative", [
-    ("w", "ghz", 10, 2),  # 5 fine classes per state, 1 of them iterative
-    ("haar:2x2x2x2:1", "haar:2x2x2x2:2", 24, 14),  # 12 per state, 7 iterative
-])
-def test_profile_solves_each_rank_class_once(monkeypatch, sa, sb, solves, iterative):
+@pytest.mark.parametrize("sa, sb, solves", [
+    ("w", "ghz", 2),  # 7 classes, (1,1,1) the only one solved
+    ("haar:2x2x2x2:1", "haar:2x2x2x2:2", 14),  # 27 classes, 7 solved
+    ("w", None, 1),  # the same state
+    ("w", "w", 1),  # an equal state built again
+], ids=["w-ghz", "haar-2x2x2x2", "w-same", "w-equal"])
+def test_profile_solves_each_rank_class_once(monkeypatch, sa, sb, solves):
     restricted = []
     real_solve = locc.solve_E
 
@@ -165,16 +179,62 @@ def test_profile_solves_each_rank_class_once(monkeypatch, sa, sb, solves, iterat
         return real_solve(state, ks, cfg)
 
     monkeypatch.setattr(locc, "solve_E", counting_solve)
-    a, b = catalog.resolve_state(sa), catalog.resolve_state(sb)
+    a = catalog.resolve_state(sa)
+    b = a if sb is None else catalog.resolve_state(sb)
     report = compare_dlocc(a, b, cfg=CFG)
-    # one solve per fine class and state, none for the two-block items
-    # (every item evaluated on its own makes 16 and 32 solves)
+    # one solve per solved class and distinct state; a class with at most
+    # one restricted block reads a Schmidt spectrum instead (every item
+    # evaluated on its own makes 16 and 32 solves)
     assert len(restricted) == solves
-    assert sum(r >= 2 for r in restricted) == iterative
+    assert min(restricted) >= 2
     values = {}
     for row in report.rows:
-        assert values.setdefault(_rank_class(row.item), (row.e_a, row.e_b)) == (row.e_a, row.e_b)
-    assert len(values) == {3: 11, 4: 32}[a.n_parties]
+        key = _rank_class(row.item, a.dims)
+        assert values.setdefault(key, (row.e_a, row.e_b)) == (row.e_a, row.e_b)
+    assert len(values) == {3: 7, 4: 27}[a.n_parties]
+
+
+@pytest.mark.parametrize("sa, sb", [("w", "ghz")] + [
+    (f"haar:{shape}:1", f"haar:{shape}:2") for shape in ("2x2x2", "3x3x3", "2x2x2x2", "2x3x4")])
+def test_items_naming_one_monotone_share_one_value(sa, sb):
+    # an item with at most one restricted block is a Schmidt partial sum;
+    # it used to be solved as a fine class while its two-block twin read
+    # the spectrum, and the two rows differed in the last bits
+    a, b = catalog.resolve_state(sa), catalog.resolve_state(sb)
+    values = {}
+    for row in compare_dlocc(a, b, cfg=CFG).rows:
+        key = _rank_class(row.item, a.dims)
+        assert values.setdefault(key, (row.e_a, row.e_b)) == (row.e_a, row.e_b), row.item.key()
+    assert len(values) < len(default_rank_items(a.dims))
+
+
+def _schmidt_state(spectrum):
+    d = len(spectrum)
+    return new_state((d, d), np.diag(np.sqrt(spectrum)).reshape(-1))
+
+
+@pytest.mark.parametrize("a, b", [
+    (f"haar:{shape}:{s}", f"haar:{shape}:{s + 1}")
+    for shape in ("3x3", "2x4", "4x4") for s in range(1, 7)
+] + [pytest.param((0.5, 0.3, 0.2), (0.6, 0.3, 0.1), id="comparable")])
+def test_two_party_dlocc_is_nielsens_theorem(monkeypatch, a, b):
+    # a -> b by LOCC iff the Schmidt spectrum of b majorizes that of a
+    # (Nielsen); every two-party class reads a spectrum, so nothing is solved
+    solves = []
+    real_solve = locc.solve_E
+
+    def recording_solve(state, ks, cfg):
+        solves.append(ks)
+        return real_solve(state, ks, cfg)
+
+    monkeypatch.setattr(locc, "solve_E", recording_solve)
+    a, b = (catalog.resolve_state(s) if isinstance(s, str) else _schmidt_state(s) for s in (a, b))
+    report = compare_dlocc(a, b, cfg=CFG)
+    cut = PartyGrouping.split((0,), 2)
+    la, lb = schmidt_values(a, cut), schmidt_values(b, cut)
+    assert bool(report.a_to_b_blocked) == (not majorizes(lb, la))
+    assert bool(report.b_to_a_blocked) == (not majorizes(la, lb))
+    assert solves == []
 
 
 @pytest.mark.parametrize("c", [1e-4, 1e4])
