@@ -33,6 +33,7 @@ from .rng import haar_random_unitary, stream_rng
 from .states import (
     DensityOp,
     StateTensor,
+    _check_pure,
     _integer,
     apply_local_unitaries,
     odot,
@@ -100,8 +101,7 @@ def builtin_invariants(state) -> dict[str, float]:
 
 
 def _check_three_qubits(state) -> None:
-    if not isinstance(state, StateTensor):
-        raise TypeError(f"the residual tangle needs a StateTensor, got {type(state).__name__}")
+    _check_pure(state)
     if state.dims != (2, 2, 2):
         raise PartyCountUnsupported(
             f"the residual tangle needs three qubits, got dims {list(state.dims)}"

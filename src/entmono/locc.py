@@ -27,8 +27,7 @@ from .contractions import eval_contraction, is_simple_form
 from .errors import (BadGrouping, BadParameter, BadRank, NotNormalized, NotSimpleForm,
                      StructureMismatch)
 from .invariants import _multiplicativity, _resolve_invariant
-from .monotones import (SolverConfig, _raise_saturated, coarse_grain, escalate, nielsen_E,
-                        solve_E)
+from .monotones import SolverConfig, _swept_parties, coarse_grain, escalate, nielsen_E, solve_E
 from .states import (
     PartyGrouping,
     StateTensor,
@@ -112,20 +111,23 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
     * E_(k) is unchanged by k_i -> min(k_i, prod_{j != i} k_j), because
       block i's conditional operator has at most that rank.  One
       application is already a fixed point: it lowers at most one block
-      (the argument of ``monotones._raise_saturated``), and the lowered k_i
+      (the argument of ``monotones._swept_parties``), and the lowered k_i
       is the product of the others, which leaves every other block at or
-      below its own product.  On two blocks this is min(k1, k2) twice.
-    * The one raise ``monotones._raise_saturated`` allows (k_i -> d_i) also
-      leaves E unchanged.  The blocks with k < d, not counting the raised
-      one, are the restricted blocks.
-    * With two blocks, or at most one restricted block, the projector is
+      below its own product.
+    * The one raise that ``monotones._swept_parties`` allows (k_i -> d_i)
+      also leaves E unchanged, and the blocks it returns are the
+      restricted blocks, those ``solve_E`` would sweep.
+    * With two or more blocks and at most one restricted, the projector is
       the identity off one block, so E_(k) is the sum of the k largest
       Schmidt values across that block's cut (Nielsen).  The class is then
       the two-block split of that block against the rest, oriented as
       ``_two_block_splits`` orients it, at ranks (k, k): k is the block's
       rank, and block 0 stands in when no block is restricted (E is the
-      squared norm).  So (1,2,2) and [0|12](1,1) on three qubits are one
-      class.  An item of one block has no cut and keeps its class.
+      squared norm).  Every item of two blocks is such a class (its
+      lowered ranks are (m, m), and the raise leaves one block), so
+      (1,2,2) and [0|12](1,1) on three qubits are one class, and so are
+      (1,1,1) and [01|2](1,1) on 1x3x3.  An item of one block has no cut
+      and keeps its class.
     """
     classes: dict[RankItem, int] = {}
     index = []
@@ -137,9 +139,8 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
         bdims = dims if g is None else g.block_dims(dims)
         ks = _check_ranks(bdims, item.ranks)
         ks = tuple(min(k, prod(ks[:i] + ks[i + 1:])) for i, k in enumerate(ks))
-        raised = _raise_saturated(bdims, ks)
-        restricted = [i for i, (k, d) in enumerate(zip(ks, bdims)) if k < d and i != raised]
-        if len(ks) == 2 or (len(ks) > 2 and len(restricted) <= 1):
+        _, restricted = _swept_parties(bdims, ks)
+        if len(ks) >= 2 and len(restricted) <= 1:
             i = restricted[0] if restricted else 0
             block = (i,) if g is None else g.blocks[i]
             side = block if 0 in block else set(range(n)).difference(block)
@@ -150,9 +151,10 @@ def _rank_classes(items: tuple[RankItem, ...], dims: tuple[int, ...]):
 
 def _profile(state: StateTensor, classes: tuple[RankItem, ...], cfg: SolverConfig) -> list:
     """(value, solver result or None) of each rank class on one state.
-    Every two-block class is a Schmidt partial sum (``_rank_classes``), and
-    the classes of one split read one spectrum (``nielsen_E``); the other
-    classes, with at least two restricted blocks, are solved."""
+    Every two-rank class is a Schmidt partial sum (``_rank_classes``), and
+    the classes of one split read one spectrum (``nielsen_E``).  The other
+    classes are solved: each leaves ``solve_E`` two or more parties to
+    sweep, unless it is an item of one block."""
     spectra = {g: nielsen_E(state, g) for g in dict.fromkeys(
         c.grouping for c in classes if len(c.ranks) == 2)}
     return [(float(spectra[c.grouping][c.ranks[0] - 1]), None) if len(c.ranks) == 2
@@ -267,12 +269,15 @@ def compare_dlocc(
 
     A witness against a -> b is a rank with E(b) < E(a) - 1e-6 m, m the
     larger squared norm.  Each rank class is evaluated once per distinct
-    state; a class with two blocks or at most one restricted block reads
-    a Schmidt spectrum (``_rank_classes``), so on two parties this is
-    Nielsen's majorization test and nothing is solved.  Since the solver
-    returns lower bounds, an underestimated E(b) could fake a witness, so
-    a witness is reported only if its low side passes the trust rule of
-    ``_class_rows``.  Both states must be StateTensors (TypeError).
+    state; a class that leaves at most one restricted block after the
+    raise of ``monotones._swept_parties`` reads a Schmidt spectrum
+    (``_rank_classes``), the rule by which ``solve_E`` skips its ascent.
+    So on two parties this is Nielsen's majorization test and nothing is
+    solved, and neither is the all-ones class of a state with two
+    non-trivial parties.  Since the solver returns lower bounds, an
+    underestimated E(b) could fake a witness, so a witness is reported
+    only if its low side passes the trust rule of ``_class_rows``.  Both
+    states must be StateTensors (TypeError).
     """
     _check_pure(a, b)
     _check_same_structure(a, b)

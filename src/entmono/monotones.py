@@ -4,13 +4,14 @@ The central quantity is the maximal squared norm of a state's projection
 onto a product of local subspaces with prescribed dimensions (k_0, ..,
 k_{N-1}).  Parties with k_i = d_i, or a party with k_i at least the
 product of the other ranks (raised to d_i, which leaves the value
-unchanged), take no part in the maximization.  With two or more
-restricted parties left, multi-start alternating maximization over their
-frames yields a certified lower bound; a lone restricted party's frame is
-the top-k_i eigenvectors of its marginal, and their eigenvalue sum is the
-exact value.  A raised party's frame is the top-k_i eigenvectors of its
-operator given the other parties' frames.  Every contraction and party
-step of a solve runs on one layout of psi (``_folded``).
+unchanged; ``_swept_parties`` says which), take no part in the
+maximization.  With two or more restricted parties left, multi-start
+alternating maximization over their frames yields a certified lower
+bound; a lone restricted party's frame is the top-k_i eigenvectors of
+its marginal, and their eigenvalue sum is the exact value.  A raised
+party's frame is the top-k_i eigenvectors of its operator given the
+other parties' frames.  Every contraction and party step of a solve
+runs on one layout of psi (``_folded``).
 
 Also here: the classical bipartite background quantities (trace powers,
 elementary symmetric polynomials, majorization, leading-eigenvalue partial
@@ -290,6 +291,7 @@ def objective(state: StateTensor, frame) -> float:
     A k_i = d_i frame is unitary (``ProjectorFrame`` checks its columns),
     so its projector is the identity: its party is folded, not contracted.
     """
+    _check_pure(state)
     frames = _frames_of(frame)
     if len(frames) != state.n_parties or any(
         v.shape[0] != d for v, d in zip(frames, state.dims)
@@ -368,23 +370,28 @@ def _haar_starts(shape: tuple[tuple[int, int], ...], restricted: tuple[int, ...]
     return adjoints
 
 
-def _raise_saturated(dims: Sequence[int], ks: tuple[int, ...]) -> int | None:
-    """The rank-saturated party to raise to its dimension, or None.
+def _swept_parties(dims: Sequence[int], ks: tuple[int, ...]) -> tuple[int | None, list[int]]:
+    """(the rank-saturated party to raise to its dimension or None, the
+    restricted parties left): the parties with k_i < d_i, not counting the
+    raised one, which are the parties ``solve_E`` sweeps.
 
     Party i's conditional operator has rank at most prod_{j != i} k_j, so
-    when 2 <= k_i < d_i and k_i reaches that product, its top-k_i
-    eigenvectors hold all of its weight and the identity does no better:
-    E is unchanged by k_i -> d_i.  Once a party is raised no other is
-    saturated: with Q the product of the ranks other than k_i and k_j, i
-    saturated means k_i >= k_j Q, and j saturated after i is raised would
-    need k_j >= d_i Q > k_i Q >= k_j Q^2 >= k_j.  So only the first
-    saturated party is raised.  k_i = 1 is never raised, which keeps
-    the closed-form rank-one steps of the all-ones class.
+    when k_i < d_i reaches that product, its top-k_i eigenvectors hold all
+    of its weight and the identity does no better: E is unchanged by
+    k_i -> d_i.  Once a party is raised no other is saturated: with Q the
+    product of the ranks other than k_i and k_j, i saturated means
+    k_i >= k_j Q, and j saturated after i is raised would need
+    k_j >= d_i Q > k_i Q >= k_j Q^2 >= k_j.  So only the first saturated
+    party is raised.  A rank-1 party is saturated only when every other
+    rank is 1, and it is raised only when exactly two parties are
+    restricted: E is then the top Schmidt value across their cut, and with
+    three or more the all-ones class keeps its closed-form rank-one steps.
     """
-    for i, d in enumerate(dims):
-        if 2 <= ks[i] < d and ks[i] >= prod(ks[:i] + ks[i + 1:]):
-            return i
-    return None
+    restricted = [i for i, (k, d) in enumerate(zip(ks, dims)) if k < d]
+    for i in restricted:
+        if ks[i] >= prod(ks[:i] + ks[i + 1:]) and (ks[i] > 1 or len(restricted) == 2):
+            return i, [p for p in restricted if p != i]
+    return None, restricted
 
 
 def _ascend(t: np.ndarray, ks: list[int], frames: list, haar: tuple[np.ndarray, ...],
@@ -448,12 +455,15 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
 
     A party with k_i = d_i has the identity as its projector, so only the
     restricted parties (k_i < d_i) are solved for.  A rank-saturated party
-    (2 <= k_i < d_i, k_i >= prod_{j != i} k_j) is first raised to k_i =
-    d_i, which leaves E unchanged (``_raise_saturated``), and the other
-    restricted parties are swept.  psi is laid out once (``_folded``): the
-    swept parties' axes in party order, then the raised party's, then
-    every other party folded into one trailing axis that is never
-    projected, and every schedule of the solve is compiled on that array.
+    (k_i < d_i, k_i >= prod_{j != i} k_j; with k_i = 1 only when exactly
+    two parties are restricted) is first raised to k_i = d_i, which leaves
+    E unchanged, and the other restricted parties are swept
+    (``_swept_parties``).  So on two parties every rank vector, (1,1)
+    included, sweeps at most one party and is a Schmidt partial sum.  psi
+    is laid out once (``_folded``): the swept parties' axes in party
+    order, then the raised party's, then every other party folded into
+    one trailing axis that is never projected, and every schedule of the
+    solve is compiled on that array.
     With no restricted party the value is the squared norm.  Each swept
     party's spectral step on psi (the top-k eigenvectors of its marginal)
     is start 0; with one swept party its eigenvalue sum is already the
@@ -490,8 +500,7 @@ def solve_E(state: StateTensor, ks: Sequence[int], cfg: SolverConfig | None = No
     _check_pure(state)
     cfg = cfg or SolverConfig()
     ks = _check_ranks(state.dims, ks)
-    raised = _raise_saturated(state.dims, ks)
-    swept = [p for p, (k, d) in enumerate(zip(ks, state.dims)) if k < d and p != raised]
+    raised, swept = _swept_parties(state.dims, ks)
     parties = swept + ([] if raised is None else [raised])
     norm2 = squared_norm(state)
     value, converged, agreeing, degenerate = norm2, True, cfg.restarts + 1, False
@@ -537,6 +546,7 @@ def E_ensemble(members: Sequence[StateTensor], ks: Sequence[int],
 def coarse_grain(state: StateTensor, grouping: PartyGrouping) -> StateTensor:
     """Reinterpret blocks of parties as single parties (amplitudes unchanged
     when the blocks are in natural order)."""
+    _check_pure(state)
     _check_covers(grouping, state.n_parties)
     perm = tuple(p for b in grouping.blocks for p in b)
     t = state.tensor().transpose(perm)
@@ -595,9 +605,9 @@ def nielsen_E(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
     return np.cumsum(schmidt_values(state, grouping))
 
 
-def escalate(cfg: SolverConfig, factor: int = 2) -> SolverConfig:
-    """Same configuration with more restarts, for firming up near-ties."""
-    return replace(cfg, restarts=cfg.restarts * factor)
+def escalate(cfg: SolverConfig) -> SolverConfig:
+    """Same configuration with doubled restarts, for firming up near-ties."""
+    return replace(cfg, restarts=2 * cfg.restarts)
 
 
 __all__ = [

@@ -14,13 +14,14 @@ import numpy as np
 
 from .errors import BadParameter, ShapeMismatch
 from .rng import _haar_frames, stream_rng
-from .states import StateTensor, _check_ranks, _integer
+from .states import StateTensor, _check_pure, _check_ranks, _integer
 
 _BLOCK = 256  # samples evaluated per einsum in sample_E
 
 
 def sample_E(state: StateTensor, ks: Sequence[int], samples: int, seed: int = 0) -> float:
     """Monte-Carlo lower bound: best objective over Haar-random frames."""
+    _check_pure(state)
     ks = _check_ranks(state.dims, ks)
     if _integer(samples, 1) is None:
         raise BadParameter(f"samples must be an integer >= 1, got {samples!r}")

@@ -240,11 +240,13 @@ def new_state(dims: Sequence[int], amps, label: str | None = None) -> StateTenso
 
 
 def squared_norm(state: StateTensor) -> float:
+    _check_pure(state)
     return float(np.vdot(state.amps, state.amps).real)
 
 
 def pure_density(state: StateTensor) -> DensityOp:
     """Rank-one density operator |psi><psi| (unnormalized if the state is)."""
+    _check_pure(state)
     return DensityOp(state.dims, np.outer(state.amps, state.amps.conj()))
 
 
@@ -259,6 +261,7 @@ def _check_parties(parties: Iterable[int], n: int, what: str) -> tuple[int, ...]
 
 def reduced_density(state: StateTensor, keep: Iterable[int]) -> DensityOp:
     """Partial trace of |psi><psi| onto the ``keep`` parties (ascending order)."""
+    _check_pure(state)
     keep_t = _check_parties(keep, state.n_parties, "keep set")
     if not keep_t:
         raise EmptyKeepSet("keep set must contain at least one party")
@@ -292,6 +295,7 @@ def odot(a: StateTensor, b: StateTensor) -> StateTensor:
     Party i of the result carries the pair (party i of a, party i of b)
     with a's index slow.  Distinct from appending b's parties after a's.
     """
+    _check_pure(a, b)
     if a.n_parties != b.n_parties:
         raise PartyCountMismatch(
             f"cannot merge a {a.n_parties}-party with a {b.n_parties}-party state"
@@ -311,6 +315,7 @@ def schmidt_values(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
 
     The vector has length dim(block 1) and sums to the squared norm.
     """
+    _check_pure(state)
     if len(grouping.blocks) != 2:
         raise BadGrouping("schmidt_values needs exactly two blocks")
     _check_covers(grouping, state.n_parties)
@@ -319,6 +324,7 @@ def schmidt_values(state: StateTensor, grouping: PartyGrouping) -> np.ndarray:
 
 def apply_local_unitaries(state: StateTensor, units: Sequence[np.ndarray]) -> StateTensor:
     """(U_0 x ... x U_{N-1}) |psi>; each U_i must be d_i x d_i unitary."""
+    _check_pure(state)
     if len(units) != state.n_parties:
         raise DimensionMismatch(
             f"got {len(units)} unitaries for {state.n_parties} parties"
@@ -345,6 +351,7 @@ def apply_unilocal_kraus(
     The operators may be rectangular (output dim x input dim) but must
     satisfy sum_j A_j^dag A_j <= I on the party's space.
     """
+    _check_pure(state)
     party, = _check_parties([party], state.n_parties, "party")
     d = state.dims[party]
     ops = [np.asarray(a, dtype=complex) for a in kraus]
@@ -374,6 +381,7 @@ def apply_unilocal_kraus(
 # -- JSON state files: {"label": str, "dims": [int], "amps": [[re, im], ...]} --
 
 def state_to_dict(state: StateTensor) -> dict:
+    _check_pure(state)
     return {
         "label": state.label,
         "dims": list(state.dims),
@@ -419,9 +427,11 @@ def state_from_dict(data: dict) -> StateTensor:
 
 
 def save_state(state: StateTensor, path) -> None:
+    """Write the JSON state file.  The record is serialized before the file
+    is opened, so a state that cannot be saved leaves ``path`` as it was."""
+    text = json.dumps(state_to_dict(state), indent=2) + "\n"
     with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_state(path) -> StateTensor:

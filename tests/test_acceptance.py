@@ -265,7 +265,7 @@ def test_criterion_7_supermultiplicativity():
             merged_ranks = tuple(k * l for k, l in zip(ks, ls))
             em = solve_E(odot(a, b), merged_ranks, FAST).value
             if em < ea * eb - 1e-7:  # low side may be undersolved
-                em = solve_E(odot(a, b), merged_ranks, escalate(FAST, 4)).value
+                em = solve_E(odot(a, b), merged_ranks, escalate(escalate(FAST))).value
             worst_gap = min(worst_gap, em - ea * eb)
     ok = worst_gap >= -1e-7
     report("7.3", ok, f"supermultiplicativity, worst gap {worst_gap:.2e}")
@@ -285,7 +285,7 @@ def test_criterion_7_product_state_neutrality():
             base = solve_E(a, ks, FAST).value
             merged = solve_E(odot(a, prod), ks, FAST).value
             if abs(merged - base) > 1e-7:
-                merged = solve_E(odot(a, prod), ks, escalate(FAST, 4)).value
+                merged = solve_E(odot(a, prod), ks, escalate(escalate(FAST))).value
             worst = max(worst, abs(merged - base))
     ok = worst <= 1e-7
     report("7.4", ok, f"product-state neutrality, worst dev {worst:.2e}")
@@ -304,7 +304,7 @@ def test_criterion_7_rank_monotonicity():
             small = solve_E(state, ks, FAST).value
             big = solve_E(state, ks_big, FAST).value
             if big < small - 1e-8:
-                big = solve_E(state, ks_big, escalate(FAST, 4)).value
+                big = solve_E(state, ks_big, escalate(escalate(FAST))).value
             worst = max(worst, small - big)
     ok = worst <= 1e-8
     report("7.5", ok, f"rank monotonicity, worst violation {worst:.2e}")
@@ -381,7 +381,7 @@ def test_criterion_8_unilocal_nondecrease():
         before = solve_E(state, ks, FAST).value
         after = E_ensemble(branches, ks, FAST)
         if after < before - 1e-6:
-            after = E_ensemble(branches, ks, escalate(FAST, 4))
+            after = E_ensemble(branches, ks, escalate(escalate(FAST)))
         gap = after - before
         worst = min(worst, gap)
         if gap < -1e-6:

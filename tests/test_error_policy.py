@@ -9,6 +9,7 @@ Every integer argument goes through the one check ``states._integer``, so
 """
 
 import ast
+import os
 from pathlib import Path
 
 import numpy as np
@@ -24,13 +25,15 @@ from entmono.errors import (
     NonUnitary,
     SumMismatch,
 )
-from entmono.invariants import local_unitary_invariance_check
+from entmono.invariants import local_unitary_invariance_check, tangle
 from entmono.locc import (RankItem, compare_dlocc, copy_ratio_feasibility, default_rank_items,
                           slocc_bound)
 from entmono.monotones import (
     SolverConfig,
     bipartite_E,
+    coarse_grain,
     majorizes,
+    nielsen_E,
     objective,
     solve_E,
     symmetric_monotones,
@@ -44,9 +47,14 @@ from entmono.states import (
     StateTensor,
     apply_local_unitaries,
     apply_unilocal_kraus,
+    odot,
     partial_trace,
     pure_density,
     reduced_density,
+    save_state,
+    schmidt_values,
+    squared_norm,
+    state_to_dict,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "entmono"
@@ -172,10 +180,31 @@ def test_non_integer_counts_raise_a_typed_error(error, call):
     lambda: slocc_bound(pure_density(W), W),
     lambda: copy_ratio_feasibility(pure_density(W), W, ["I2"]),
     lambda: solve_E(pure_density(W), (1, 1, 1)),
+    lambda: odot(pure_density(W), W),
+    lambda: odot(W, pure_density(W)),
+    lambda: reduced_density(pure_density(W), [0]),
+    lambda: schmidt_values(pure_density(W), PartyGrouping.split((0,), 3)),
+    lambda: nielsen_E(pure_density(W), PartyGrouping.split((0,), 3)),
+    lambda: bipartite_E(pure_density(W), PartyGrouping.split((0,), 3), 1, 1),
+    lambda: apply_local_unitaries(pure_density(W), [I2] * 3),
+    lambda: apply_unilocal_kraus(pure_density(W), 0, [I2]),
+    lambda: squared_norm(pure_density(W)),
+    lambda: state_to_dict(pure_density(W)),
+    lambda: save_state(pure_density(W), os.devnull),
+    lambda: pure_density(pure_density(W)),
+    lambda: objective(pure_density(W), [I2] * 3),
+    lambda: coarse_grain(pure_density(W), PartyGrouping.split((0,), 3)),
+    lambda: sample_E(pure_density(W), (1, 1, 1), 4),
+    lambda: tangle(pure_density(W)),
 ], ids=["compare_density", "compare_none", "slocc_density", "copy_ratio_density",
-        "solve_density"])
+        "solve_density", "odot_density_a", "odot_density_b", "reduced_density",
+        "schmidt_density", "nielsen_density", "bipartite_density", "unitaries_density",
+        "kraus_density", "squared_norm_density", "to_dict_density", "save_density",
+        "pure_density_density", "objective_density", "coarse_grain_density",
+        "sample_E_density", "tangle_density"])
 def test_a_pure_state_api_names_the_wrong_type(call):
-    # each used to end in an AttributeError on `.amps` or `.dims`
+    # each used to end in an AttributeError on `.amps`, `.dims`, `.tensor`
+    # or `.label` (the tangle raised its own TypeError message)
     with pytest.raises(TypeError, match="expected a StateTensor, got (DensityOp|NoneType)"):
         call()
 

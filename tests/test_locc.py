@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from entmono import catalog, locc
+from entmono import catalog, locc, monotones
 from entmono.errors import (
     BadGrouping,
     BadParameter,
@@ -235,6 +236,45 @@ def test_two_party_dlocc_is_nielsens_theorem(monkeypatch, a, b):
     assert bool(report.a_to_b_blocked) == (not majorizes(lb, la))
     assert bool(report.b_to_a_blocked) == (not majorizes(la, lb))
     assert solves == []
+
+
+def test_all_ones_pair_with_a_trivial_party_reads_a_spectrum(monkeypatch):
+    # on 1x3x3, (1,1,1) raises party 1 and leaves party 2 restricted, so
+    # its class is the cut [01|2] at (1,1), like every other class here
+    solves = []
+    real_solve = locc.solve_E
+    monkeypatch.setattr(locc, "solve_E",
+                        lambda state, ks, cfg: solves.append(ks) or real_solve(state, ks, cfg))
+    a, b = catalog.resolve_state("haar:1x3x3:1"), catalog.resolve_state("haar:1x3x3:2")
+    report = compare_dlocc(a, b, cfg=CFG)
+    assert solves == []
+    assert {r.item.key(): r.e_a for r in report.rows}["(1,1,1)"] == pytest.approx(
+        schmidt_values(a, PartyGrouping.split((0, 1), 3))[0], abs=1e-14)
+
+
+def test_rank_classes_and_the_solver_skip_the_same_ascents(monkeypatch):
+    # one rule decides both: a fine rank vector is a two-rank (Schmidt)
+    # class exactly when solve_E sweeps at most one party and so never
+    # reaches the ascent
+    ascents = []
+    ascend = monotones._ascend
+    monkeypatch.setattr(monotones, "_ascend", lambda *args: ascents.append(1) or ascend(*args))
+    cfg = SolverConfig(restarts=1, max_iters=1)
+    checked, disagree = 0, []
+    shapes = [dims for n in (2, 3) for dims in itertools.product(range(1, 5), repeat=n)]
+    for dims in shapes + list(itertools.product(range(1, 4), repeat=4)):
+        state = haar_random_state(dims, 1)
+        ranks = itertools.product(*(range(1, d + 1) for d in dims))
+        items = tuple(RankItem(None, ks) for ks in ranks)
+        classes, index = locc._rank_classes(items, dims)
+        for item, c in zip(items, index):
+            ascents.clear()
+            monotones.solve_E(state, item.ranks, cfg)
+            checked += 1
+            if (len(classes[c].ranks) == 2) != (not ascents):
+                disagree.append((dims, item.ranks))
+    assert checked == 2396
+    assert disagree == []
 
 
 @pytest.mark.parametrize("c", [1e-4, 1e4])

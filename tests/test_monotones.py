@@ -222,7 +222,27 @@ def test_solver_matches_closed_form_when_reducible():
         want = bipartite_E(s, split, k, 4)
         assert res.value == pytest.approx(want, abs=1e-8)
         assert abs(objective(s, res.certificate) - res.value) <= 1e-12 * squared_norm(s)
-    assert monotones._raise_saturated((5, 2, 2), (2, 2, 1)) == 0
+    assert monotones._swept_parties((5, 2, 2), (2, 2, 1)) == (0, [2])
+
+
+@pytest.mark.parametrize("spec, ks", [
+    ("haar:16x16:1", (1, 1)),
+    ("haar:3x5:2", (1, 1)),
+    ("haar:1x3x3:1", (1, 1, 1)),
+])
+@pytest.mark.parametrize("c", [1, 1e-4, 1e4])
+def test_rank_one_pair_is_the_top_schmidt_value(monkeypatch, spec, ks, c):
+    # with exactly two restricted parties the all-ones vector raises the
+    # first, so the other's spectral step is exact and no ascent runs
+    monkeypatch.setattr(monotones, "_ascend", lambda *args: pytest.fail("ascent ran"))
+    s = catalog.resolve_state(spec)
+    s = StateTensor(s.dims, c * s.amps)
+    n = s.n_parties
+    res = solve_E(s, ks, FAST)
+    norm2 = squared_norm(s)
+    assert abs(res.value - nielsen_E(s, PartyGrouping.split(range(n - 1), n))[0]) <= 1e-14 * norm2
+    assert abs(objective(s, res.certificate) - res.value) <= 1e-14 * norm2
+    assert res.ranks == ks and res.certificate.ranks == ks
 
 
 def test_solver_bipartite_matches_closed_form():
@@ -286,10 +306,12 @@ def test_rank_class_shares_one_value(spec, ranks):
 
 def raised_ranks(dims, ks):
     """ks with k_i -> d_i, in party order against the vector raised so far,
-    wherever 2 <= k_i < d_i and k_i >= prod_{j != i} k_j."""
+    wherever k_i < d_i and k_i >= prod_{j != i} k_j, a rank-1 party only
+    when exactly two parties of ks are restricted (k_i < d_i)."""
+    pair = sum(k < d for k, d in zip(ks, dims)) == 2
     ks = list(ks)
     for i, d in enumerate(dims):
-        if 2 <= ks[i] < d and ks[i] >= prod(ks[:i] + ks[i + 1:]):
+        if (pair or ks[i] > 1) and ks[i] < d and ks[i] >= prod(ks[:i] + ks[i + 1:]):
             ks[i] = d
     return tuple(ks)
 
@@ -318,9 +340,10 @@ def test_at_most_one_party_is_raised(n):
     for dims in itertools.product(range(2, 6), repeat=n):
         for ks in itertools.product(*(range(1, d + 1) for d in dims)):
             walked = raised_ranks(dims, ks)
-            i = monotones._raise_saturated(dims, ks)
+            i, swept = monotones._swept_parties(dims, ks)
             changed = [p for p in range(n) if walked[p] != ks[p]]
             assert changed == ([] if i is None else [i])
+            assert swept == [p for p in range(n) if walked[p] < dims[p]]
             low = lowered_ranks(ks)
             assert lowered_ranks(low) == low
             assert sum(a != b for a, b in zip(low, ks)) <= 1
@@ -364,7 +387,8 @@ def test_raised_solve_matches_the_unraised_reference(spec, ks):
 
 
 def test_all_ones_class_is_never_raised(monkeypatch):
-    # k_i = 1 keeps the closed-form rank-one steps of the all-ones class
+    # with three or more restricted parties, k_i = 1 keeps the closed-form
+    # rank-one steps of the all-ones class
     calls = []
     step = monotones._rank_one_step
     monkeypatch.setattr(monotones, "_rank_one_step",
@@ -493,7 +517,9 @@ def test_every_schedule_of_a_solve_is_built_on_one_array(monkeypatch, spec, ks):
 def test_sweep_contractions_follow_the_dimension_tree(monkeypatch, n, want):
     # one sweep over n restricted parties costs C(n) = n + C(ceil(n/2)) +
     # C(floor(n/2)), C(1) = 0, party contractions, against n(n - 1) when
-    # every party step contracts all the others afresh
+    # every party step contracts all the others afresh; two rank-1 parties
+    # alone are a Schmidt sum and sweep nothing, so n = 2 runs beside a
+    # folded third party
     run = monotones._run
     contractions = (monotones._LEAD, monotones._RIGHT, monotones._MID)
     count = 0
@@ -504,11 +530,12 @@ def test_sweep_contractions_follow_the_dimension_tree(monkeypatch, n, want):
         return run(schedule, frames, gap_tol)
 
     monkeypatch.setattr(monotones, "_run", counted)
-    state = catalog.resolve_state("haar:" + "x".join(["2"] * n) + ":1")
+    ks = (1,) * n + (2,) * (n == 2)
+    state = catalog.resolve_state("haar:" + "x".join(["2"] * len(ks)) + ":1")
     totals = []
     for iters in (1, 2):
         count = 0
-        res = solve_E(state, (1,) * n, SolverConfig(restarts=4, max_iters=iters, seed=1))
+        res = solve_E(state, ks, SolverConfig(restarts=4, max_iters=iters, seed=1))
         totals.append(count)
         if iters == 1:
             assert not res.converged  # so a second sweep runs

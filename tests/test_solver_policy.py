@@ -11,6 +11,10 @@ Both conversion verdicts of ``locc.py`` read one table: ``_class_rows`` is
 the only function that profiles the states or confirms a low side, and
 ``_confirm_low_side`` the only one that escalates a solve.  The trust rule
 lives in ``locc.py`` alone, so ``monotones.py`` defines no trust helper.
+
+One rule decides which parties a rank vector leaves to sweep, and so
+which monotones are Schmidt sums: ``monotones._swept_parties``, read only
+by ``solve_E`` and ``locc._rank_classes``.
 """
 
 import ast
@@ -191,3 +195,66 @@ def test_the_check_sees_a_second_row_path(tmp_path):
         "escalate": {"_confirm_low_side", "slocc_bound"},
     }
     assert _trust_helpers(planted) == ["result_is_trusted"]
+
+
+SWEEP_RULE = "_swept_parties"
+SWEEP_RULE_READERS = {"monotones.py": {"solve_E"}, "locc.py": {"import", "_rank_classes"}}
+
+
+def _rule_readers(paths) -> dict[str, set[str]]:
+    """Module file -> where it reaches the rule: the innermost functions (or
+    ``<module>``) that name it or read it as an attribute, and ``import``
+    (``import as <name>`` under another name) for each import of it."""
+    readers = {}
+    for path in paths:
+        found = set()
+
+        def visit(node: ast.AST, function: str) -> None:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (isinstance(node, ast.Name) and node.id == SWEEP_RULE
+                    or isinstance(node, ast.Attribute) and node.attr == SWEEP_RULE):
+                found.add(function)
+            if isinstance(node, ast.alias) and node.name == SWEEP_RULE:
+                found.add("import" if node.asname in (None, SWEEP_RULE)
+                          else f"import as {node.asname}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, function)
+
+        visit(ast.parse(path.read_text(), filename=str(path)), "<module>")
+        if found:
+            readers[path.name] = found
+    return readers
+
+
+def test_one_rule_picks_the_swept_parties():
+    assert _rule_readers(sorted(SRC.glob("*.py"))) == SWEEP_RULE_READERS
+    assert callable(getattr(monotones, SWEEP_RULE))  # the check is not vacuous
+
+
+def test_the_check_sees_a_second_sweep_rule(tmp_path):
+    (tmp_path / "monotones.py").write_text(
+        "def solve_E(dims, ks):\n"
+        "    return _swept_parties(dims, ks)\n")
+    (tmp_path / "locc.py").write_text(
+        "from .monotones import _swept_parties\n"
+        "\n"
+        "def _rank_classes(dims, ks):\n"
+        "    return _swept_parties(dims, ks)\n"
+        "\n"
+        "def _profile(dims, ks):\n"
+        "    _, restricted = _swept_parties(dims, ks)\n"
+        "    return restricted\n")
+    (tmp_path / "oracle.py").write_text(
+        "from . import monotones\n"
+        "from .monotones import _swept_parties as rule\n"
+        "\n"
+        "SKIP = monotones._swept_parties\n"
+        "\n"
+        "def sample_E(dims, ks):\n"
+        "    return rule(dims, ks)\n")
+    assert _rule_readers(sorted(tmp_path.glob("*.py"))) == {
+        "monotones.py": {"solve_E"},
+        "locc.py": {"import", "_rank_classes", "_profile"},
+        "oracle.py": {"import as rule", "<module>"},
+    }

@@ -358,6 +358,20 @@ def test_state_json_roundtrip(tmp_path, w):
     np.testing.assert_allclose(back.amps, w.amps, atol=0)
 
 
+@pytest.mark.parametrize("bad", ["density", "label"])
+def test_a_failed_save_leaves_the_file_as_it_was(tmp_path, w, bad):
+    # the record is serialized before the file is opened, so neither a
+    # DensityOp nor a label json cannot write may empty or cut the file
+    path = tmp_path / "w.json"
+    save_state(w, path)
+    before = path.read_bytes()
+    state = pure_density(w) if bad == "density" else StateTensor(w.dims, w.amps, object())
+    with pytest.raises(TypeError):
+        save_state(state, path)
+    assert path.read_bytes() == before
+    assert load_state(path).label == "w"
+
+
 def test_state_json_rejects_bad_length(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"label": None, "dims": [2, 2], "amps": [[1, 0]]}))
